@@ -23,7 +23,11 @@ generator (``generate_test``, ``justify_and_propagate``,
 ``select_iddq_vectors``) takes ``engine="compiled"`` (the fast
 D-calculus search of :mod:`repro.atpg.podem_compiled`, default) or
 ``engine="legacy"`` (the dict-based oracle in
-:mod:`repro.atpg.podem`); both produce bit-identical results.
+:mod:`repro.atpg.podem`); both produce bit-identical results.  The
+selector picks the PODEM engine only: ``select_iddq_vectors`` always
+builds its candidate x fault matrix from the bit-parallel
+:func:`polarity_detection_words`, and ``run_sof_atpg`` always drops
+faults through :func:`stuck_open_detection_words`.
 
 Usage — generate, fault-simulate and compact a stuck-at test set::
 

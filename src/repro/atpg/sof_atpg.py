@@ -156,6 +156,13 @@ def run_sof_atpg(
 
     if faults is None:
         faults = get_universe("stuck_open").collapse(network)
+    # Masking depends only on the cell and the broken transistor: one
+    # switch-level sweep per distinct pair, not one per fault and test.
+    masked_cell: dict[tuple[str, str], bool] = {}
+    for fault in faults:
+        key = (fault.gtype, fault.transistor)
+        if key not in masked_cell:
+            masked_cell[key] = fault.is_masked()
     tests: list[StuckOpenTest] = []
     masked: list[StuckOpenFault] = []
     untestable: list[StuckOpenFault] = []
@@ -163,7 +170,7 @@ def run_sof_atpg(
     for k, fault in enumerate(faults):
         if fault.name in dropped:
             continue
-        if fault.is_masked():
+        if masked_cell[fault.gtype, fault.transistor]:
             masked.append(fault)
             continue
         test = generate_stuck_open_test(
@@ -177,7 +184,8 @@ def run_sof_atpg(
             continue
         candidates = [
             f for f in faults[k + 1:]
-            if f.name not in dropped and not f.is_masked()
+            if f.name not in dropped
+            and not masked_cell[f.gtype, f.transistor]
         ]
         words = stuck_open_detection_words(
             network, candidates,

@@ -156,13 +156,24 @@ class SqliteBackend:
             timeout=self.busy_timeout_s,
             isolation_level=None,  # autocommit; transactions are explicit
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(
-            f"PRAGMA synchronous={'FULL' if self.fsync else 'NORMAL'}"
-        )
-        conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
         self._conn = conn
-        self._init_schema()
+        try:
+            # Switching a fresh file to WAL takes an exclusive lock that
+            # sqlite does not wait for, so two connections creating one
+            # store at once can see "database is locked": retry both
+            # the pragma and the schema creation like any write.
+            self._with_retry(lambda: conn.execute("PRAGMA journal_mode=WAL"))
+            conn.execute(
+                f"PRAGMA synchronous={'FULL' if self.fsync else 'NORMAL'}"
+            )
+            conn.execute(
+                f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}"
+            )
+            self._with_retry(self._init_schema)
+        except BaseException:
+            self._conn = None
+            conn.close()
+            raise
         self.verify(repair=True)
         self._requeue_stale()
         return self

@@ -26,7 +26,13 @@ from repro.atpg import (
     stuck_at_faults,
     stuck_open_faults,
 )
-from repro.circuits import c17, parity_tree, ripple_carry_adder
+from repro.circuits import (
+    build_benchmark,
+    c17,
+    parity_tree,
+    ripple_carry_adder,
+)
+from repro.circuits.random_circuits import random_network
 from repro.logic import simulate_outputs
 
 
@@ -230,7 +236,69 @@ class TestSofAtpg:
         assert len(result.masked) == len(stuck_open_faults(network))
 
 
+def _serial_iddq_selection(network, faults):
+    """The pre-bitmask IDDQ cover: one serial ``detects_polarity`` pair
+    per (candidate, fault), greedy over sets of fault names."""
+    candidates, uncovered = [], []
+    for fault in faults:
+        test = generate_polarity_test(
+            network, fault, allow_iddq=True, max_backtracks=300
+        )
+        if test is None:
+            uncovered.append(fault.name)
+            continue
+        candidates.append(_fill(network, test.vector))
+    coverable = [f for f in faults if f.name not in uncovered]
+    matrix = [
+        {
+            f.name for f in coverable
+            if detects_polarity(network, f, vector, iddq=True)
+            or detects_polarity(network, f, vector, iddq=False)
+        }
+        for vector in candidates
+    ]
+    remaining = {f.name for f in coverable}
+    chosen = []
+    while remaining:
+        best, best_gain = None, 0
+        for k, covered in enumerate(matrix):
+            gain = len(covered & remaining)
+            if gain > best_gain:
+                best, best_gain = k, gain
+        if best is None:
+            uncovered.extend(remaining)
+            break
+        chosen.append(best)
+        remaining -= matrix[best]
+    covered = {}
+    for order, k in enumerate(chosen):
+        for name in matrix[k]:
+            covered.setdefault(name, order)
+    return [candidates[k] for k in chosen], covered, sorted(set(uncovered))
+
+
+IDDQ_DIFF_CIRCUITS = [
+    *(build_benchmark(name) for name in
+      ("c17", "rca4", "parity8", "eq4", "alu_slice")),
+    *(random_network(seed, n_gates=18, n_inputs=6, dp_fraction=0.4)
+      for seed in range(10)),
+]
+
+
 class TestIddqSelection:
+    @pytest.mark.parametrize(
+        "network", IDDQ_DIFF_CIRCUITS, ids=lambda n: n.name
+    )
+    def test_matches_serial_oracle_cover(self, network):
+        faults = polarity_faults(network)
+        selection = select_iddq_vectors(network, faults)
+        vectors, covered, uncovered = _serial_iddq_selection(
+            network, faults
+        )
+        assert selection.vectors == vectors
+        assert selection.covered == covered
+        assert selection.uncovered == uncovered
+
     def test_cover_is_complete_and_compact(self):
         network = parity_tree(4)
         selection = select_iddq_vectors(network)

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import threading
 import time
 from pathlib import Path
 
@@ -122,6 +123,35 @@ class TestSqliteBackend:
         conn.commit(); conn.close()
         with pytest.raises(RuntimeError, match="newer than this code"):
             SqliteBackend(path).open()
+
+    def test_concurrent_open_of_fresh_store(self, tmp_path):
+        # Two connections creating one store file at the same moment
+        # race on the WAL switch and the schema; open must absorb it.
+        failures = []
+        for round_ in range(100):
+            path = tmp_path / f"s{round_}.sqlite"
+            barrier = threading.Barrier(2)
+
+            def opener():
+                store = SqliteBackend(path)
+                barrier.wait(timeout=30)
+                try:
+                    store.open()
+                    store.register(["a"])
+                except sqlite3.Error as exc:
+                    failures.append(repr(exc))
+                finally:
+                    store.close()
+
+            threads = [threading.Thread(target=opener) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            with SqliteBackend(path).open() as store:
+                assert store.verify()["ok"] is True
+        assert failures == []
 
     def test_verify_reports_healthy_store(self, tmp_path):
         with SqliteBackend(tmp_path / "s.sqlite").open() as store:

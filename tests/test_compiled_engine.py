@@ -4,6 +4,7 @@ fault class (stuck-at, polarity voltage/IDDQ, two-pattern stuck-open),
 plus the campaign wrappers and the fault-dropping ATPG loops built on
 top of it."""
 
+import collections
 import random
 
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atpg import (
+    StuckOpenFault,
     detects_polarity,
     detects_stuck_at,
     detects_stuck_open,
+    generate_stuck_open_test,
     parallel_polarity_simulation,
     parallel_stuck_at_simulation,
     parallel_stuck_open_simulation,
@@ -233,6 +236,54 @@ def test_sof_atpg_dropping_preserves_coverage():
         assert detects_stuck_open(
             network, fault, test.init_vector, test.test_vector
         ), name
+
+
+def _sof_atpg_masking_per_fault(network, faults):
+    """``run_sof_atpg(drop_detected=True)`` with the masking sweep run
+    for every fault, after every generated test (the pre-table loop)."""
+    tests, masked, untestable, dropped = [], [], [], {}
+    for k, fault in enumerate(faults):
+        if fault.name in dropped:
+            continue
+        if fault.is_masked():
+            masked.append(fault)
+            continue
+        test = generate_stuck_open_test(network, fault)
+        if test is None:
+            untestable.append(fault)
+            continue
+        tests.append(test)
+        candidates = [
+            f for f in faults[k + 1:]
+            if f.name not in dropped and not f.is_masked()
+        ]
+        words = stuck_open_detection_words(
+            network, candidates, [(test.init_vector, test.test_vector)]
+        )
+        for candidate, word in zip(candidates, words):
+            if word:
+                dropped[candidate.name] = len(tests) - 1
+    return tests, masked, untestable, dropped
+
+
+def test_sof_masking_computed_once_per_cell_transistor(monkeypatch):
+    network = build_benchmark("alu_slice")
+    faults = stuck_open_faults(network)
+    expected = _sof_atpg_masking_per_fault(network, faults)
+
+    calls = collections.Counter()
+    original = StuckOpenFault.is_masked
+
+    def counting(fault):
+        calls[fault.gtype, fault.transistor] += 1
+        return original(fault)
+
+    monkeypatch.setattr(StuckOpenFault, "is_masked", counting)
+    result = run_sof_atpg(network, faults, drop_detected=True)
+    assert calls and max(calls.values()) == 1
+    assert (
+        result.tests, result.masked, result.untestable, result.dropped
+    ) == expected
 
 
 # ---------------------------------------------------------------------------
