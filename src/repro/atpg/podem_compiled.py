@@ -590,9 +590,7 @@ def batch_drop_detected(
 
         mv = mw.pack_vectors_multiword(cnet, [vector])
         good = mw.simulate_good(cnet, mv)
-        words = mw.batch_detect(
-            cnet, mv, good, [pending[n] for n in names], fault_chunk=1024
-        )
+        words = mw.batch_detect(cnet, mv, good, [pending[n] for n in names])
         return {n for n, w in zip(names, words) if w}
     from repro.logic.compiled import pack_vectors
 

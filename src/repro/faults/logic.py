@@ -85,10 +85,11 @@ def stuck_at_faults(network: Network, collapse: bool = True) -> list[StuckAtFaul
         for value in (0, 1):
             faults.append(StuckAtFault(net, value))
     flop_data = _flop_data_counts(network)
+    outputs = set(network.primary_outputs)
     for gate in network.gates.values():
         for pin, net in enumerate(gate.inputs):
             fanout = len(network.fanout_of(net)) + flop_data.get(net, 0)
-            is_po = net in network.primary_outputs
+            is_po = net in outputs
             if collapse and fanout <= 1 and not is_po:
                 continue  # branch == stem on fanout-free nets
             for value in (0, 1):
@@ -99,7 +100,7 @@ def stuck_at_faults(network: Network, collapse: bool = True) -> list[StuckAtFaul
         faults = [
             f
             for f in faults
-            if not _collapsible_buffer_input(network, f)
+            if not _collapsible_buffer_input(network, f, flop_data, outputs)
         ]
     return faults
 
@@ -112,17 +113,27 @@ def _flop_data_counts(network: Network) -> dict[str, int]:
     return counts
 
 
-def _collapsible_buffer_input(network: Network, fault: StuckAtFault) -> bool:
+def _collapsible_buffer_input(
+    network: Network,
+    fault: StuckAtFault,
+    flop_data: dict[str, int],
+    outputs: set[str],
+) -> bool:
     """Drop stem faults on BUF/INV inputs (equivalent to output faults),
-    unless the net is a primary output or has fanout (gate or flop)."""
+    unless the net is a primary output or has fanout (gate or flop).
+
+    ``flop_data`` is :func:`_flop_data_counts` of ``network`` and
+    ``outputs`` its primary-output set, both computed once by the
+    caller.
+    """
     if fault.is_branch:
         return False
     fanout = network.fanout_of(fault.net)
     if len(fanout) != 1:
         return False
-    if fault.net in network.primary_outputs:
+    if fault.net in outputs:
         return False
-    if fault.net in _flop_data_counts(network):
+    if fault.net in flop_data:
         return False  # also latched: the stem fault reaches next state
     consumer = fanout[0]
     if consumer.gtype not in ("BUF", "INV"):

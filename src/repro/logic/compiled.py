@@ -404,13 +404,18 @@ class CompiledNetwork:
         self.n_nets = len(self.net_names)
         # Earliest op position touching each net (its driver, or for
         # primary inputs the first reader) — lets delta resimulation
-        # skip straight to a fault's cone.
+        # skip straight to a fault's cone.  Latest op reading each net
+        # (-1 if none) — lets the multi-word batch kernel drop a net's
+        # faulty rows as soon as nothing else reads them.
         self.net_first_op = [len(self.ops)] * self.n_nets
+        self.net_last_op = [-1] * self.n_nets
         first = self.net_first_op
+        last = self.net_last_op
         for pos, (_, out, ins) in enumerate(self.ops):
             for i in ins:
                 if first[i] > pos:
                     first[i] = pos
+                last[i] = pos
             if first[out] > pos:
                 first[out] = pos
         self._structures: NetworkStructures | None = None

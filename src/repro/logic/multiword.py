@@ -14,13 +14,21 @@ ceil(n / 64)`` little-endian ``uint64`` words (*vector-major* within a
 word, word-major across the row).  A net's fault-free state is a pair
 of ``(W,)`` rail rows (ones rail / zeros rail, identical Kleene
 semantics to the single-word engine); a fault batch of ``F`` machines
-widens every net to ``(F, W)`` — the *fault-major* axis is axis 0, so
-one numpy bitwise op advances all ``F`` faulty machines over all ``n``
+widens a net to ``(F, W)`` — the *fault-major* axis is axis 0, so one
+numpy bitwise op advances all ``F`` faulty machines over all ``n``
 vectors at once.  The tail of the last word (bits ``n .. 63``) is
 *ragged*: both rails keep it 0 (= X), so it can never produce a
 detection, and every word handed back to callers is additionally ANDed
 with the tail mask so forced-line writes (which set full 64-bit words)
 cannot leak tail bits into detection results.
+
+**Streaming batches.**  The batch kernel holds ``(F, W)`` rails only
+for nets some fault of the chunk has changed, and only until the net's
+last reader; every other net is read from the good rails through a
+zero-stride broadcast view, and ops whose inputs are all good (and
+carry no override) are skipped.  Primary outputs are compared with the
+good machine as they are written.  The working set is therefore the
+live frontier of the faults' cones, not ``n_nets x F x W``.
 
 **Equivalence.**  For any fault list and vector set the detection
 words produced here are bit-identical to the single-word engine's
@@ -69,13 +77,13 @@ WORD_BITS = 64
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _DTYPE = np.dtype("<u8")
 
-#: Fault rows simulated per vectorized pass.  Bounds the working-set
-#: memory (n_nets x chunk x W x 16 bytes) while keeping the per-op
-#: numpy dispatch overhead amortized over a wide fault axis.
-DEFAULT_FAULT_CHUNK = 256
+#: Fault rows simulated per vectorized pass.  Each live net of a chunk
+#: costs chunk x W x 16 bytes (two rails); a wide fault axis amortizes
+#: the per-op Python and numpy dispatch over more faulty machines.
+DEFAULT_FAULT_CHUNK = 1024
 
-#: Dual-rail multi-word net state: (ones, zeros) uint64 arrays, shape
-#: (n_nets, W) for the good machine and (n_nets, F, W) for a batch.
+#: Dual-rail multi-word net state: (ones, zeros) uint64 arrays of
+#: shape (n_nets, W).
 MultiwordState = tuple[np.ndarray, np.ndarray]
 
 
@@ -158,14 +166,16 @@ def _eval_gate_np(
     if code == OP_INV:
         return a0.copy(), a1.copy()
     if code == OP_AND or code == OP_NAND:
-        o, z = a1.copy(), a0.copy()
-        for b1, b0 in pw[1:]:
+        b1, b0 = pw[1]
+        o, z = a1 & b1, a0 | b0
+        for b1, b0 in pw[2:]:
             o &= b1
             z |= b0
         return (z, o) if code == OP_NAND else (o, z)
     if code == OP_OR or code == OP_NOR:
-        o, z = a1.copy(), a0.copy()
-        for b1, b0 in pw[1:]:
+        b1, b0 = pw[1]
+        o, z = a1 | b1, a0 & b0
+        for b1, b0 in pw[2:]:
             o |= b1
             z &= b0
         return (z, o) if code == OP_NOR else (o, z)
@@ -200,33 +210,47 @@ def simulate_good(
     return ones, zeros
 
 
+def _eval_tables(
+    tables: Sequence[Mapping[tuple[int, ...], int]],
+    pin_rows: Sequence[tuple[np.ndarray, np.ndarray]],
+    mask: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local-truth-table evaluation, one table per ``(R, W)`` pin row.
+
+    Row ``r`` of the result evaluates ``tables[r]`` on row ``r`` of the
+    pins — the multi-word counterpart of :func:`repro.logic.compiled.
+    eval_table_packed`: table values outside (0, 1), and minterms a
+    table lacks, contribute to neither rail, so those vectors come out
+    X.
+    """
+    shape = pin_rows[0][0].shape
+    ones = np.zeros(shape, dtype=_DTYPE)
+    zeros = np.zeros(shape, dtype=_DTYPE)
+    minterms = dict.fromkeys(m for table in tables for m in table)
+    for minterm in minterms:
+        values = [table.get(minterm) for table in tables]
+        drive1 = np.fromiter((v == 1 for v in values), bool, len(values))
+        drive0 = np.fromiter((v == 0 for v in values), bool, len(values))
+        if not (drive1.any() or drive0.any()):
+            continue
+        word = np.broadcast_to(mask, shape)
+        for (o, z), bit in zip(pin_rows, minterm):
+            word = word & (o if bit else z)
+        ones[drive1] |= word[drive1]
+        zeros[drive0] |= word[drive0]
+    return ones, zeros
+
+
 def _eval_table_row(
     table: Mapping[tuple[int, ...], int],
     pin_rows: Sequence[tuple[np.ndarray, np.ndarray]],
     mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local-truth-table evaluation over ``(W,)`` pin rows (one fault).
-
-    The multi-word counterpart of :func:`repro.logic.compiled.
-    eval_table_packed`: table values outside (0, 1) contribute to
-    neither rail, so those vectors come out X.
-    """
-    ones = np.zeros_like(mask)
-    zeros = np.zeros_like(mask)
-    for minterm, value in table.items():
-        if value != 1 and value != 0:
-            continue
-        word = mask.copy()
-        for (o, z), bit in zip(pin_rows, minterm):
-            word &= o if bit else z
-            if not word.any():
-                break
-        else:
-            if value == 1:
-                ones |= word
-            else:
-                zeros |= word
-    return ones, zeros
+    """:func:`_eval_tables` for one table over ``(W,)`` pin rows."""
+    ones, zeros = _eval_tables(
+        [table], [(o[None], z[None]) for o, z in pin_rows], mask
+    )
+    return ones[0], zeros[0]
 
 
 def minterm_word_multiword(
@@ -271,8 +295,8 @@ class FaultBatch:
       per-vector forced patterns of the stuck-open engine.
     * ``pin_rows``: op position -> [(pin, row, value)] — branch faults,
       patched onto a copy of the gathered pin array.
-    * ``table_rows``: op position -> [(row, table)] — functional
-      (polarity) faults, re-evaluated per affected row.
+    * ``table_rows``: op position -> (rows, tables) — functional
+      (polarity) faults, re-evaluated together on the affected rows.
     """
 
     def __init__(
@@ -287,7 +311,7 @@ class FaultBatch:
         self.word_rows: dict[int, list[tuple[int, np.ndarray, np.ndarray]]]
         self.word_rows = {}
         self.pin_rows: dict[int, list[tuple[int, int, int]]] = {}
-        self.table_rows: dict[int, list[tuple[int, Mapping]]] = {}
+        table_rows: dict[int, list[tuple[int, Mapping]]] = {}
         for row, injection in enumerate(injections):
             for idx, value in injection.lines.items():
                 (line1 if value else line0).setdefault(idx, []).append(row)
@@ -299,7 +323,7 @@ class FaultBatch:
             for (pos, pin), value in injection.pins.items():
                 self.pin_rows.setdefault(pos, []).append((pin, row, value))
             for pos, table in injection.tables.items():
-                self.table_rows.setdefault(pos, []).append((row, table))
+                table_rows.setdefault(pos, []).append((row, table))
         self.line_rows = {
             idx: (
                 np.asarray(line1.get(idx, ()), dtype=np.intp),
@@ -307,8 +331,14 @@ class FaultBatch:
             )
             for idx in line1.keys() | line0.keys()
         }
-        self.forced_nets = sorted(self.line_rows.keys()
-                                  | self.word_rows.keys())
+        self.table_rows = {
+            pos: (
+                np.asarray([row for row, _ in entries], dtype=np.intp),
+                [table for _, table in entries],
+            )
+            for pos, entries in table_rows.items()
+        }
+        self.forced_nets = self.line_rows.keys() | self.word_rows.keys()
 
     def apply_forces(
         self, idx: int, ones_row: np.ndarray, zeros_row: np.ndarray
@@ -328,36 +358,70 @@ class FaultBatch:
             zeros_row[row] = z
 
 
-def simulate_batch(
+def batch_detection_matrix(
     cnet: CompiledNetwork,
     mv: MultiwordVectors,
     good: MultiwordState,
     batch: FaultBatch,
-) -> MultiwordState:
-    """Simulate ``F`` faulty machines over the whole vector batch.
+) -> np.ndarray:
+    """Simulate ``F`` faulty machines; return the ``(F, W)`` detections.
 
-    Returns ``(ones, zeros)`` of shape ``(n_nets, F, W)``: row ``f`` is
-    the complete net state of fault ``f``'s machine.  The good state
-    seeds every row (a fault that changes nothing costs only the
-    re-evaluation sweep), then the batch's grouped overrides are applied
-    at the contract points: line/word forces at every write of their
-    net, pin forces on the gathered pin arrays, table overrides per
-    affected row after the healthy gate function.
+    Bit ``k & 63`` of word ``k >> 6`` in row ``f`` is set iff vector
+    ``k`` *definitely* detects fault ``f`` at a primary output (strict
+    X semantics, matching :meth:`CompiledNetwork.output_diff`); the
+    ragged tail is masked off.
+
+    The kernel streams over the ops and keeps ``(F, W)`` faulty rails
+    only for nets the batch has written (``bad``); every other net is
+    read from the good rails through a zero-stride broadcast view.  An
+    op none of whose inputs is in ``bad`` and that carries no override
+    is skipped — its output equals the good machine's.  A net's faulty
+    rails are dropped after its last reader (``cnet.net_last_op``), and
+    each primary output is compared with the good machine as soon as it
+    is written, so the working set is the live frontier of the faults'
+    cones rather than the whole net state.  The batch's overrides are
+    applied at the contract points: line/word forces on undriven nets
+    once at the start and on driven nets at their write, pin forces on
+    the gathered pin arrays, table overrides on the affected rows after
+    the healthy gate function.
     """
     good_ones, good_zeros = good
-    n_nets, n_words = good_ones.shape
     f = batch.size
-    ones = np.repeat(good_ones[:, None, :], f, axis=1)
-    zeros = np.repeat(good_zeros[:, None, :], f, axis=1)
+    shape = (cnet.n_nets, f, mv.n_words)
+    good1 = np.broadcast_to(good_ones[:, None, :], shape)
+    good0 = np.broadcast_to(good_zeros[:, None, :], shape)
+    ops = cnet.ops
+    first = cnet.net_first_op
+    last = cnet.net_last_op
+    po = set(cnet.po_index)
+    diff = np.zeros((f, mv.n_words), dtype=_DTYPE)
+    bad: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for idx in batch.forced_nets:
-        batch.apply_forces(idx, ones[idx], zeros[idx])
+        # A driven net's first op is its driver (topological order);
+        # its forces are applied when that op writes it.
+        if first[idx] < len(ops) and ops[first[idx]][1] == idx:
+            continue
+        o, z = good1[idx].copy(), good0[idx].copy()
+        batch.apply_forces(idx, o, z)
+        if idx in po:
+            diff |= (good_ones[idx] & z) | (good_zeros[idx] & o)
+        bad[idx] = (o, z)
+    forced = batch.forced_nets
     pin_rows = batch.pin_rows
     table_rows = batch.table_rows
-    for pos, (code, out, ins) in enumerate(cnet.ops):
+    for pos, (code, out, ins) in enumerate(ops):
+        forces = pin_rows.get(pos)
+        tables = table_rows.get(pos)
+        if not (forces or tables or out in forced):
+            for i in ins:
+                if i in bad:
+                    break
+            else:
+                continue
         pw = []
         for k, i in enumerate(ins):
-            o, z = ones[i], zeros[i]
-            forces = pin_rows.get(pos)
+            rails = bad.get(i)
+            o, z = rails if rails is not None else (good1[i], good0[i])
             if forces:
                 patched = False
                 for pin, row, value in forces:
@@ -373,42 +437,21 @@ def simulate_batch(
                         o[row] = 0
                         z[row] = _FULL
             pw.append((o, z))
+        for i in ins:
+            if last[i] == pos:
+                bad.pop(i, None)
         o, z = _eval_gate_np(code, pw)
-        tables = table_rows.get(pos)
         if tables:
-            for row, table in tables:
-                ro, rz = _eval_table_row(
-                    table, [(p1[row], p0[row]) for p1, p0 in pw], mv.mask
-                )
-                o[row] = ro
-                z[row] = rz
+            rows, row_tables = tables
+            o[rows], z[rows] = _eval_tables(
+                row_tables, [(p1[rows], p0[rows]) for p1, p0 in pw], mv.mask
+            )
         batch.apply_forces(out, o, z)
-        ones[out] = o
-        zeros[out] = z
-    return ones, zeros
-
-
-def batch_detection_matrix(
-    cnet: CompiledNetwork,
-    mv: MultiwordVectors,
-    good: MultiwordState,
-    batch: FaultBatch,
-) -> np.ndarray:
-    """Detection matrix for one simulated batch: ``(F, W)`` uint64.
-
-    Bit ``k & 63`` of word ``k >> 6`` in row ``f`` is set iff vector
-    ``k`` *definitely* detects fault ``f`` at a primary output (strict
-    X semantics, matching :meth:`CompiledNetwork.output_diff`); the
-    ragged tail is masked off.
-    """
-    good_ones, good_zeros = good
-    bad_ones, bad_zeros = simulate_batch(cnet, mv, good, batch)
-    diff = np.zeros((batch.size, mv.n_words), dtype=_DTYPE)
-    for idx in cnet.po_index:
-        diff |= (good_ones[idx][None, :] & bad_zeros[idx]) | (
-            good_zeros[idx][None, :] & bad_ones[idx]
-        )
-    diff &= mv.mask[None, :]
+        if out in po:
+            diff |= (good_ones[out] & z) | (good_zeros[out] & o)
+        if last[out] > pos:
+            bad[out] = (o, z)
+    diff &= mv.mask
     return diff
 
 
@@ -425,8 +468,9 @@ def batch_detect(
     same Python-int detection word the single-word engine's
     :meth:`~repro.logic.compiled.CompiledNetwork.detect_word` produces
     over the full vector set (bit ``k`` set iff vector ``k`` detects
-    the fault).  ``fault_chunk`` bounds the ``(n_nets, F, W)`` working
-    set; the final ragged chunk simply runs narrower.
+    the fault).  ``fault_chunk`` is the ``F`` of each streamed batch
+    (see :func:`batch_detection_matrix`); the final ragged chunk
+    simply runs narrower.
     """
     words: list[int] = []
     for base in range(0, len(injections), fault_chunk):

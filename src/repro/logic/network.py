@@ -99,6 +99,8 @@ class Network:
         #: Flop output net -> flop data net, in insertion order.
         self.flops: dict[str, str] = {}
         self._driver: dict[str, str] = {}  # net -> gate name
+        # net -> consuming gates, one entry per gate, in insertion order
+        self._fanout: dict[str, list[Gate]] = {}
         self._levelized: list[Gate] | None = None
         self._compiled = None
 
@@ -136,6 +138,8 @@ class Network:
         gate = Gate(name, gtype.upper(), tuple(inputs), output)
         self.gates[name] = gate
         self._driver[output] = name
+        for net in dict.fromkeys(gate.inputs):
+            self._fanout.setdefault(net, []).append(gate)
         self._levelized = None
         self._compiled = None
         return gate
@@ -169,8 +173,8 @@ class Network:
         return self.gates[name] if name is not None else None
 
     def fanout_of(self, net: str) -> list[Gate]:
-        """Gates that consume ``net``."""
-        return [g for g in self.gates.values() if net in g.inputs]
+        """Gates that consume ``net`` (each once, in insertion order)."""
+        return list(self._fanout.get(net, ()))
 
     def nets(self) -> list[str]:
         found = set(self.primary_inputs)
@@ -216,23 +220,36 @@ class Network:
         """
         if self._levelized is not None:
             return self._levelized
-        order: list[Gate] = []
-        placed: set[str] = set(self.primary_inputs)
-        placed.update(self.flops)
-        remaining = dict(self.gates)
-        while remaining:
-            ready = [
-                g for g in remaining.values()
-                if all(n in placed for n in g.inputs)
-            ]
-            if not ready:
-                raise ValueError(
-                    f"combinational loop or missing driver in {self.name!r}"
-                )
-            for g in sorted(ready, key=lambda g: g.name):
-                order.append(g)
-                placed.add(g.output)
-                del remaining[g.name]
+        # One Kahn pass assigning each gate its ASAP level (1 + the
+        # deepest gate driving one of its inputs; state inputs are
+        # level 0).  Sorting by (level, name) gives wave-by-wave order
+        # with each wave name-sorted.
+        level: dict[str, int] = dict.fromkeys(self.primary_inputs, 0)
+        level.update(dict.fromkeys(self.flops, 0))
+        waiting: dict[str, int] = {}
+        ready: list[Gate] = []
+        for g in self.gates.values():
+            unplaced = len({n for n in g.inputs if n not in level})
+            if unplaced:
+                waiting[g.name] = unplaced
+            else:
+                ready.append(g)
+        placed: list[tuple[int, str, Gate]] = []
+        while ready:
+            g = ready.pop()
+            lvl = 1 + max((level[n] for n in g.inputs), default=0)
+            level[g.output] = lvl
+            placed.append((lvl, g.name, g))
+            for consumer in self._fanout.get(g.output, ()):
+                waiting[consumer.name] -= 1
+                if not waiting[consumer.name]:
+                    ready.append(consumer)
+        if len(placed) != len(self.gates):
+            raise ValueError(
+                f"combinational loop or missing driver in {self.name!r}"
+            )
+        placed.sort(key=lambda entry: entry[:2])
+        order = [g for _, _, g in placed]
         self._levelized = order
         return order
 

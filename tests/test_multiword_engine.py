@@ -23,6 +23,10 @@ import numpy as np
 import pytest
 
 from repro.atpg.fault_sim import (
+    _polarity_problem,
+    _stuck_at_problem,
+    _stuck_open_injection,
+    _stuck_open_problem,
     _use_multiword,
     detects_polarity,
     detects_stuck_at,
@@ -45,7 +49,8 @@ from repro.circuits.random_circuits import (
 )
 from repro.faults import get_universe
 from repro.logic import multiword as mw
-from repro.logic.compiled import compile_network, pack_vectors
+from repro.logic.compiled import FaultInjection, compile_network, pack_vectors
+from repro.logic.values import X
 
 NETLIST_DIR = (
     pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "netlists"
@@ -253,21 +258,115 @@ class TestDifferentialFuzz:
         )
 
     def test_odd_fault_chunks_identical(self):
-        network = fuzz_network(3)
+        """Every chunk width gives the compiled engine's words, for
+        each override class: stem/branch stuck-at, unrolled sequential
+        stuck-at, polarity table overrides and stuck-open word forces.
+
+        Each injection list is tiled past 1024 entries so the wide
+        widths also cut it mid-list.
+        """
+        for problem in ("stuck_at", "sequential", "polarity", "stuck_open"):
+            cnet, injections, vectors = chunk_problem(problem)
+            packed = pack_vectors(cnet, vectors)
+            good_single = cnet.simulate(packed)
+            reference = [
+                cnet.detect_word(packed, good_single, inj)
+                for inj in injections
+            ]
+            assert any(reference), problem
+            tiles = -(-1100 // len(injections))
+            injections = injections * tiles
+            reference = reference * tiles
+            mv = mw.pack_vectors_multiword(cnet, vectors)
+            good = mw.simulate_good(cnet, mv)
+            for chunk in (1, 7, 13, 256, 1000, 1024):
+                assert (
+                    mw.batch_detect(
+                        cnet, mv, good, injections, fault_chunk=chunk
+                    )
+                    == reference
+                ), (problem, chunk)
+
+    def test_working_set_is_the_live_frontier(self):
+        """A 1024-fault chunk on cpx1908 holds far less than the full
+        ``n_nets x F x W`` faulty state at any one time."""
+        import tracemalloc
+
+        network = build_corpus_network("cpx1908")
         cnet = compile_network(network)
-        faults = faults_of(network, "stuck_at")
-        vectors = random_vectors(network, 77, seed=5)
-        mv = mw.pack_vectors_multiword(cnet, vectors)
-        good = mw.simulate_good(cnet, mv)
+        faults = faults_of(network, "stuck_at")[:1024]
         injections = [stuck_at_injection(cnet, f) for f in faults]
-        reference = mw.batch_detect(cnet, mv, good, injections)
-        for chunk in (1, 13, 37, 1000):
-            assert (
-                mw.batch_detect(
-                    cnet, mv, good, injections, fault_chunk=chunk
-                )
-                == reference
+        mv = mw.pack_vectors_multiword(
+            cnet, random_vectors(network, 256, seed=3)
+        )
+        good = mw.simulate_good(cnet, mv)
+        full = cnet.n_nets * len(injections) * mv.n_words * 16
+        tracemalloc.start()
+        try:
+            mw.batch_detect(cnet, mv, good, injections)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full / 4, (peak, full)
+
+
+def chunk_problem(problem):
+    """``(cnet, injections, vectors)`` exercising one override class."""
+    if problem == "stuck_at":
+        network = fuzz_network(3)
+        faults = faults_of(network, "stuck_at")
+        cnet, injections, vectors = _stuck_at_problem(
+            network, faults, random_vectors(network, 77, seed=5),
+            None, None,
+        )
+    elif problem == "sequential":
+        from repro.campaign.registry import get_registry
+        from repro.circuits.random_circuits import random_sequence_vectors
+
+        network = get_registry().load("s27")
+        faults = faults_of(network, "stuck_at")
+        cnet, injections, vectors = _stuck_at_problem(
+            network, faults,
+            random_sequence_vectors(network, 70, 4, seed=9),
+            4, {q: 0 for q in network.flops},
+        )
+    elif problem == "polarity":
+        network = fuzz_network(3)
+        faults = faults_of(network, "polarity")
+        cnet, injections, _, vectors = _polarity_problem(
+            network, faults,
+            random_vectors(network, 77, seed=6, x_fraction=0.1),
+            None, None,
+        )
+        # A polarity table's faulty entries are X, which never detects
+        # at an output; resolving them to 1 keeps the table-override
+        # path but gives definite detections to compare.
+        injections += [
+            FaultInjection(tables={
+                pos: {k: 1 if v == X else v for k, v in table.items()}
+                for pos, table in inj.tables.items()
+            })
+            for inj in injections
+        ]
+    else:
+        network = fuzz_network(2)
+        faults = faults_of(network, "stuck_open")
+        cnet, gate_lists, pairs = _stuck_open_problem(
+            network, faults, pair_list(random_vectors(network, 78, seed=7)),
+            None, None,
+        )
+        init = pack_vectors(cnet, [p[0] for p in pairs])
+        vectors = [p[1] for p in pairs]
+        test = pack_vectors(cnet, vectors)
+        good_init = cnet.simulate(init)
+        good_test = cnet.simulate(test)
+        injections = [
+            _stuck_open_injection(
+                cnet, f, gates, good_init, good_test, test.mask
             )
+            for f, gates in zip(faults, gate_lists)
+        ]
+    return cnet, injections, vectors
 
 
 # ---------------------------------------------------------------------------

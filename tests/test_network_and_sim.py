@@ -87,6 +87,79 @@ class TestNetworkStructure:
         assert len(n.fanout_of("g11")) == 2
 
 
+def _scan_fanout(network, net):
+    """The brute-force reference: every gate reading ``net``, once."""
+    return [g for g in network.gates.values() if net in g.inputs]
+
+
+def _wave_levelized(network):
+    """Reference levelization: place every ready gate, one wave at a
+    time, each wave in name order."""
+    order = []
+    placed = set(network.primary_inputs) | set(network.flops)
+    remaining = dict(network.gates)
+    while remaining:
+        ready = [
+            g for g in remaining.values()
+            if all(n in placed for n in g.inputs)
+        ]
+        assert ready, "combinational loop or missing driver"
+        for g in sorted(ready, key=lambda g: g.name):
+            order.append(g)
+            placed.add(g.output)
+            del remaining[g.name]
+    return order
+
+
+def _structure_circuits():
+    from repro.campaign.registry import get_registry
+    from repro.circuits.random_circuits import random_network
+
+    registry = get_registry()
+    corpus = registry.names(tags=["corpus"])
+    assert len(corpus) == 6
+    circuits = [c17()] + [registry.load(name) for name in corpus]
+    circuits += [
+        random_network(seed, n_gates=25 + 9 * seed, n_inputs=3 + seed % 4,
+                       dp_fraction=0.3)
+        for seed in range(10)
+    ]
+    return circuits
+
+
+class TestIndexedStructure:
+    """``fanout_of`` and ``levelized`` against their brute-force forms."""
+
+    def test_fanout_matches_scan(self):
+        for network in _structure_circuits():
+            for net in network.nets():
+                assert network.fanout_of(net) == _scan_fanout(network, net)
+
+    def test_fanout_dedupes_repeated_pin(self):
+        n = Network("t")
+        n.add_input("a")
+        n.add_input("b")
+        n.add_gate("g1", "NAND2", ["a", "a"], "y")
+        n.add_gate("g2", "XOR2", ["b", "a"], "z")
+        assert [g.name for g in n.fanout_of("a")] == ["g1", "g2"]
+        assert n.fanout_of("a") == _scan_fanout(n, "a")
+        n.fanout_of("a").clear()  # callers get a copy, not the index
+        assert len(n.fanout_of("a")) == 2
+
+    def test_levelized_matches_wave_scan(self):
+        for network in _structure_circuits():
+            assert network.levelized() == _wave_levelized(network)
+
+    def test_levelized_is_name_sorted_within_a_wave(self):
+        n = Network("t")
+        n.add_input("a")
+        n.add_gate("z1", "INV", ["a"], "p")
+        n.add_gate("b2", "INV", ["p"], "q")
+        n.add_gate("a3", "INV", ["a"], "r")
+        n.add_gate("c4", "NAND2", ["q", "r"], "y")
+        assert [g.name for g in n.levelized()] == ["a3", "z1", "b2", "c4"]
+
+
 class TestEvalFunctions:
     @pytest.mark.parametrize("gtype", sorted(BINARY_FUNCS))
     def test_ternary_agrees_with_binary(self, gtype):
