@@ -1,20 +1,18 @@
-"""JSONL vs sqlite campaign-store backends: write/scan/verify throughput.
+"""Campaign store (sqlite): write/scan/verify throughput.
 
-Runs the full claim-and-commit write path of both ``ResultBackend``
-implementations on one synthetic campaign (register the task table,
-claim each task, append its result record), then times a cold
-``latest()`` scan and a full ``verify()`` integrity audit (checksum
-recomputation on sqlite, torn-tail scan on JSONL), asserting
+Runs the store's full claim-and-commit write path on one synthetic
+campaign (register the task table, claim each task, append its result
+record), then times a cold ``latest()`` scan and a full ``verify()``
+integrity audit (per-row CRC-32 recomputation), asserting
 
-* both backends round-trip the records bit-identically after
-  ``strip_volatile`` (the cross-backend determinism contract), and
-* both verify clean (no corrupt, quarantined or stale rows),
+* the store round-trips the records bit-identically after
+  ``strip_volatile``, and
+* it verifies clean (no corrupt, quarantined or stale rows),
 
 then writes a machine-readable perf record to ``BENCH_store.json`` at
-the repository root.  There is no cross-backend speed bar: the sqlite
-backend buys atomic multi-runner claiming and per-row checksums with a
-transaction per append, so the interesting artefact is the measured
-price of those guarantees, not a winner.
+the repository root.  There is no speed bar: the numbers are the
+measured price of atomic claiming and per-row checksums, a transaction
+per append, to set against cells that cost milliseconds to seconds.
 
 Dual-mode: run under pytest (``pytest benchmarks/bench_store_backends.py``)
 or standalone::
@@ -34,14 +32,12 @@ from pathlib import Path
 
 from repro.analysis import save_report
 from repro.analysis.report import ascii_table
-from repro.campaign.backends import BACKENDS, open_store
+from repro.campaign.backends import SqliteBackend
 from repro.campaign.store import strip_volatile
 
 N_RECORDS = 2000
 N_RECORDS_SMOKE = 300
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
-
-_STORE_SUFFIX = {"jsonl": ".jsonl", "sqlite": ".sqlite"}
 
 
 def synth_records(n):
@@ -67,69 +63,53 @@ def synth_records(n):
     return records
 
 
-def bench_backend(backend, records, tmp_dir):
-    """Time write / scan / verify on one backend; return a record."""
-    path = Path(tmp_dir) / f"bench_{backend}{_STORE_SUFFIX[backend]}"
+def bench_store(records, tmp_dir):
+    """Time write / scan / verify on one fresh store; return a record."""
+    path = Path(tmp_dir) / "bench.sqlite"
     task_ids = [r["task_id"] for r in records]
 
     t0 = time.perf_counter()
-    with open_store(path, backend) as store:
+    with SqliteBackend(path).open() as store:
         store.register(task_ids)
         for record in records:
             store.claim(record["task_id"])
-            store.append(record)
+            store.append(dict(record))
         store.release()
     write_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with open_store(path, backend) as store:
+    with SqliteBackend(path).open() as store:
         latest = store.latest()
     scan_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with open_store(path, backend) as store:
+    with SqliteBackend(path).open() as store:
         report = store.verify()
     verify_s = time.perf_counter() - t0
 
-    assert report["ok"], f"{backend}: dirty verify on a healthy store"
-    assert len(latest) == len(records), backend
-    store_bytes = path.stat().st_size
-    if backend == "sqlite":
-        for sidecar in path.parent.glob(path.name + "-*"):
-            store_bytes += sidecar.stat().st_size
+    assert report["ok"], "dirty verify on a healthy store"
+    assert strip_volatile(latest.values()) == strip_volatile(records), (
+        "store round-trip diverges from the written records"
+    )
+    store_bytes = sum(
+        f.stat().st_size for f in (path, *path.parent.glob(path.name + "-*"))
+    )
     return {
-        "backend": backend,
+        "backend": "sqlite",
         "n_records": len(records),
         "write_s": write_s,
         "writes_per_s": len(records) / write_s,
         "scan_s": scan_s,
         "verify_s": verify_s,
         "store_bytes": store_bytes,
-    }, latest
+    }
 
 
 def run_backends(n=N_RECORDS):
-    """Bench every registered backend on one synthetic campaign."""
-    records = synth_records(n)
-    results, latests = [], {}
+    """Bench the store on one synthetic campaign (a one-entry list, the
+    ``records`` layout of ``BENCH_store.json``)."""
     with tempfile.TemporaryDirectory() as tmp_dir:
-        for backend in sorted(BACKENDS):
-            result, latest = bench_backend(backend, records, tmp_dir)
-            results.append(result)
-            latests[backend] = latest
-
-    def canonical(latest):
-        return strip_volatile(
-            latest[tid] for tid in sorted(latest)
-        )
-
-    reference = canonical(latests[results[0]["backend"]])
-    for result in results[1:]:
-        assert canonical(latests[result["backend"]]) == reference, (
-            f"{result['backend']} round-trip diverges from "
-            f"{results[0]['backend']}"
-        )
-    return results
+        return [bench_store(synth_records(n), tmp_dir)]
 
 
 def format_report(results):
@@ -145,7 +125,7 @@ def format_report(results):
         for r in results
     ]
     return "\n".join([
-        "Campaign store backends: claim-and-commit write path, cold scan,"
+        "Campaign store (sqlite): claim-and-commit write path, cold scan,"
         " integrity audit",
         ascii_table(
             ("backend", "records", "writes/s", "write ms", "scan ms",
@@ -153,12 +133,11 @@ def format_report(results):
             rows,
         ),
         "",
-        "One synthetic campaign through both ResultBackend",
-        "implementations: register + claim + append per task (the",
-        "runner's hot path), latest() on a freshly opened store, and",
-        "the verify() audit (per-row CRC-32 recomputation on sqlite,",
-        "torn-tail scan on JSONL).  Both stores round-trip",
-        "strip_volatile-identical records and verify clean.",
+        "One synthetic campaign: register + claim + append per task",
+        "(the runner's hot path), latest() on a freshly opened store,",
+        "and the verify() audit (per-row CRC-32 recomputation).  The",
+        "store round-trips strip_volatile-identical records and",
+        "verifies clean.",
     ])
 
 
@@ -169,7 +148,7 @@ def write_record(results, path=RECORD_PATH):
         "generated": time.strftime("%Y-%m-%d %H:%M:%S"),
         "python": sys.version.split()[0],
         "workload": "register + claim + append per task, cold latest() "
-                    "scan, full verify() audit, per backend",
+                    "scan, full verify() audit",
         "records": results,
     }
     path.write_text(json.dumps(record, indent=2) + "\n")

@@ -1,7 +1,6 @@
-"""Sqlite backend: crash-safe multi-runner campaign storage.
+"""Sqlite campaign store: crash-safe, shared by many runner processes.
 
-Where the JSONL backend locks out the second writer, this backend is
-built for N independent runner *processes* sharing one store and
+Built for N independent runner *processes* sharing one store and
 splitting a grid between them with no duplicated and no lost rows:
 
 * **WAL journaling.**  The database runs in write-ahead-log mode, so
@@ -23,10 +22,11 @@ splitting a grid between them with no duplicated and no lost rows:
   resume recomputes exactly the damaged cells.
 * **Schema versioning + one-way migration.**  ``meta.store_schema``
   names the layout version (:data:`SqliteBackend.STORE_SCHEMA`); a
-  store written by a newer layout refuses to open.
-  :func:`migrate_jsonl_to_sqlite` lifts an existing JSONL store into a
-  fresh sqlite one (source untouched), preserving record order and
-  history.
+  store written by a newer layout refuses to open, and so does an
+  existing file that is not a sqlite database at all (a JSONL store of
+  an older checkout, say).  :func:`migrate_jsonl_to_sqlite` lifts a
+  JSONL file into a fresh sqlite store (source untouched), preserving
+  record order and history.
 * **Bounded backoff on contention.**  Writes ride sqlite's
   ``busy_timeout`` plus an explicit retry loop with exponential
   backoff, so sustained lock contention (another runner mid-commit,
@@ -37,9 +37,9 @@ Storage chaos (:class:`repro.campaign.chaos.StorageChaos`) hooks:
 ``claim`` faults fire after the claim transaction commits (``kill`` =
 SIGKILL between claim and commit — the acceptance scenario), and
 ``append`` faults fire inside the append (``enospc`` fails the attempt
-before the transaction; ``kill``/``torn`` SIGKILL after the result
-``INSERT`` but before ``COMMIT`` — the mid-transaction kill WAL
-recovery must erase).
+before the transaction; ``kill`` SIGKILLs after the result ``INSERT``
+but before ``COMMIT`` — the mid-transaction kill WAL recovery must
+erase).
 """
 
 from __future__ import annotations
@@ -53,7 +53,10 @@ import zlib
 from pathlib import Path
 from typing import Iterable
 
-from repro.campaign.store import SCHEMA_VERSION, ResultStore
+from repro.campaign.store import SCHEMA_VERSION, read_jsonl
+
+#: First 16 bytes of every sqlite3 database file.
+SQLITE_MAGIC = b"SQLite format 3\x00"
 
 #: Bounded backoff schedule for contended/failed write transactions.
 _IO_ATTEMPTS = 6
@@ -115,18 +118,17 @@ def _pid_alive(pid: int) -> bool | None:
 class SqliteBackend:
     """WAL-mode sqlite result store with atomic task claiming."""
 
+    #: Stamped into each record's ``backend`` field.
     name = "sqlite"
     #: Version of the table layout above (``meta.store_schema``).
     STORE_SCHEMA = 1
-    supports_claiming = True
 
     def __init__(
         self,
         path: str | Path,
         *,
         fsync: bool = False,
-        lock: bool = True,  # noqa: ARG002 - sqlite locks itself; kept for
-        chaos=None,         #   ctor uniformity across backends
+        chaos=None,
         busy_timeout_s: float = 5.0,
         claim_lease_s: float = 3600.0,
     ) -> None:
@@ -147,9 +149,13 @@ class SqliteBackend:
 
     def open(self) -> "SqliteBackend":
         """Connect (running WAL journal recovery), create/validate the
-        schema, quarantine corrupt rows and re-queue stale claims."""
+        schema, quarantine corrupt rows and re-queue stale claims.
+
+        An existing non-empty file without the sqlite header raises
+        :class:`ValueError` and is left untouched."""
         if self._conn is not None:
             return self
+        self._refuse_foreign_file()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(
             str(self.path),
@@ -177,6 +183,21 @@ class SqliteBackend:
         self.verify(repair=True)
         self._requeue_stale()
         return self
+
+    def _refuse_foreign_file(self) -> None:
+        """Raise before sqlite touches a file that is not a database
+        (sqlite would fail with a bare ``file is not a database``)."""
+        try:
+            with self.path.open("rb") as handle:
+                head = handle.read(len(SQLITE_MAGIC))
+        except FileNotFoundError:
+            return
+        if head and head != SQLITE_MAGIC:
+            raise ValueError(
+                f"{self.path}: not a sqlite campaign store (a JSONL store "
+                "of an older checkout?); convert it with 'repro campaign "
+                f"migrate-store --store {self.path} --to NEW.sqlite'"
+            )
 
     def close(self) -> None:
         """Give back unfinished claims and drop the connection."""
@@ -407,7 +428,7 @@ class SqliteBackend:
                     " VALUES (?, ?, ?, ?)",
                     (task_id, status, text, checksum),
                 )
-                if kind in ("kill", "torn"):
+                if kind == "kill":
                     # Die inside the transaction: WAL journal recovery
                     # must erase the uncommitted row on the next open.
                     from repro.campaign.chaos import _kill_self
@@ -433,7 +454,7 @@ class SqliteBackend:
     # -- reading -----------------------------------------------------------
 
     def load(self) -> list[dict]:
-        """All records in commit order (the JSONL file-order analogue)."""
+        """All records in commit order."""
         rows = self._connection().execute(
             "SELECT record FROM results ORDER BY seq"
         ).fetchall()
@@ -450,11 +471,6 @@ class SqliteBackend:
         return latest
 
     # -- integrity ---------------------------------------------------------
-
-    def heal(self) -> None:
-        """On-demand recovery: same pass ``open`` runs."""
-        self.verify(repair=True)
-        self._requeue_stale()
 
     def verify(self, repair: bool = False) -> dict:
         """Checksum/claim/quarantine census.
@@ -568,8 +584,9 @@ class SqliteBackend:
 def migrate_jsonl_to_sqlite(
     src: str | Path, dst: str | Path, *, fsync: bool = False
 ) -> int:
-    """One-way migration of an existing JSONL store into a fresh sqlite
-    store (the source file is left untouched).
+    """One-way migration of a JSONL file (an older checkout's store, or
+    ``repro campaign export`` output) into a fresh sqlite store (the
+    source file is left untouched).
 
     Record order and full history are preserved — every JSONL line
     becomes a result row, re-stamped with the sqlite backend's
@@ -583,7 +600,7 @@ def migrate_jsonl_to_sqlite(
             f"{dst}: refusing to migrate onto an existing file "
             "(migration is one-way, into a fresh store)"
         )
-    records = ResultStore(src, lock=False).load()  # tolerates a torn tail
+    records = read_jsonl(src)  # tolerates a torn tail
     backend = SqliteBackend(dst, fsync=fsync).open()
     try:
         for record in records:

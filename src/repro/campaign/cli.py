@@ -9,7 +9,8 @@ Subcommands::
     repro experiment    single paper artifacts (Table I-III, Fig. 3-5, V-C)
     repro demo          the narrated walkthroughs behind ``examples/``
     repro faults        the fault-universe registry (list / census)
-    repro campaign      store maintenance (list / verify-store / migrate-store)
+    repro campaign      store maintenance (list / verify-store / export /
+                        migrate-store)
     repro serve         the async job service (docs/SERVICE.md)
     repro cache stats   in-process memo counters (device/table/compile)
 
@@ -28,16 +29,17 @@ Copy-paste invocations for each paper table live in
 
     python -m repro list --tag tiny
     python -m repro run --circuits c17 rca4 --fault-classes stuck_at polarity
-    python -m repro report --store campaign_store.jsonl
+    python -m repro report --store campaign_store.sqlite
     python -m repro paper-tables
 
 ``run`` and ``paper-tables`` resume from their store by default:
 interrupt them mid-grid and the rerun recomputes only unfinished tasks.
-The store is pluggable (``--backend jsonl|sqlite``, default: detect
-from the file): JSONL is the single-writer default; sqlite coordinates
-*multiple concurrent runner processes* sharing one store via atomic
-task claims — point N ``repro run`` invocations at the same
-``--backend sqlite --store grid.sqlite`` and they split the grid.
+The store is a sqlite database that coordinates *multiple concurrent
+runner processes* through atomic task claims — point N ``repro run``
+invocations at the same ``--store grid.sqlite`` and they split the
+grid.  ``repro campaign export`` prints a store as JSON lines, and
+``repro campaign migrate-store`` turns such a file (or an older
+checkout's JSONL store) back into a sqlite store.
 """
 
 from __future__ import annotations
@@ -47,14 +49,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.campaign.backends import (
-    BACKENDS,
-    migrate_jsonl_to_sqlite,
-    open_store,
-)
+from repro.campaign.backends import SqliteBackend, migrate_jsonl_to_sqlite
 from repro.campaign.registry import get_registry
 from repro.campaign.runner import RetryPolicy, expand_grid, run_campaign
-from repro.campaign.store import StoreLockedError
 from repro.campaign.tables import (
     SECTION5_READING,
     SECTION5_SUITE as PAPER_SUITE,
@@ -70,8 +67,8 @@ from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, TASK_RUNNERS
 SMOKE_CIRCUITS: tuple[str, ...] = ("c17", "tmr_voter")
 SMOKE_FAULT_CLASSES: tuple[str, ...] = ("stuck_at", "polarity")
 
-DEFAULT_STORE = "campaign_store.jsonl"
-PAPER_STORE = "benchmarks/out/paper_campaign.jsonl"
+DEFAULT_STORE = "campaign_store.sqlite"
+PAPER_STORE = "benchmarks/out/paper_campaign.sqlite"
 
 #: Static name lists so parser construction stays import-light (the
 #: drivers behind them are imported lazily by their subcommands).
@@ -126,16 +123,9 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
              f"{RetryPolicy.watchdog_grace:g}s)",
     )
     parser.add_argument(
-        "--backend", default="auto",
-        choices=("auto", *sorted(BACKENDS)),
-        help="store backend: jsonl (single writer, fails fast if "
-             "locked) or sqlite (multi-runner, atomic task claims); "
-             "auto detects from the store file (default)",
-    )
-    parser.add_argument(
         "--fsync", action="store_true",
-        help="fsync the store after every record (survives machine "
-             "crashes, not just process kills)",
+        help="commit every record with synchronous=FULL (survives "
+             "machine crashes, not just process kills)",
     )
     parser.add_argument(
         "--no-resume", action="store_true",
@@ -165,50 +155,56 @@ def _retry_policy(args) -> RetryPolicy:
     return RetryPolicy(**overrides)
 
 
-def _resolve_store(args, default: str) -> str:
-    """The effective store path: when ``--backend sqlite`` is asked
-    for but the store path was left at its JSONL-named default, swap
-    the suffix so the two backends' default stores do not collide."""
-    if args.store == default and getattr(args, "backend", "auto") == "sqlite":
-        return str(Path(default).with_suffix(".sqlite"))
-    return args.store
+def _connect_store(path, *, fsync: bool = False) -> SqliteBackend | None:
+    """Open (and so repair) the store at ``path``; on a file that is
+    not a sqlite store print why and return ``None``."""
+    try:
+        return SqliteBackend(path, fsync=fsync).open()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
-def _run_grid(args, circuits, fault_classes, store_path) -> int:
+def _open_existing_store(path) -> SqliteBackend | None:
+    """:func:`_connect_store` for the read verbs, which never create one."""
+    if not Path(path).exists():
+        print(f"no store at {path}", file=sys.stderr)
+        return None
+    return _connect_store(path)
+
+
+def _run_stored_grid(args, grid, store_path):
+    """Run ``grid`` on the store at ``store_path`` with the grid flags,
+    stopping between cells on SIGTERM/SIGINT.  ``None`` when the store
+    cannot be opened (already reported)."""
     from repro.campaign.supervisor import graceful_shutdown
 
-    grid = expand_grid(
-        circuits, fault_classes, engine=args.engine
-    )
-    try:
-        store = open_store(store_path, args.backend, fsync=args.fsync)
-    except StoreLockedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        with store, graceful_shutdown() as stop:
-            result = run_campaign(
-                grid,
-                store=store,
-                workers=args.workers or 1,
-                timeout=args.timeout,
-                resume=not args.no_resume,
-                progress=lambda line: print(line, file=sys.stderr),
-                policy=_retry_policy(args),
-                should_stop=stop.is_set,
-            )
-    except StoreLockedError as exc:
-        # JSONL locks lazily, on the first append.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    print(render_report(result.records))
-    if result.store_path is not None:
-        external = (
-            f", {result.n_external} run elsewhere" if result.n_external else ""
+    store = _connect_store(store_path, fsync=args.fsync)
+    if store is None:
+        return None
+    with store, graceful_shutdown() as stop:
+        return run_campaign(
+            grid,
+            store=store,
+            workers=args.workers or 1,
+            timeout=args.timeout,
+            resume=not args.no_resume,
+            progress=lambda line: print(line, file=sys.stderr),
+            policy=_retry_policy(args),
+            should_stop=stop.is_set,
         )
-        print(f"\nstore: {result.store_path} "
-              f"({result.n_run} run, {result.n_skipped} resumed, "
-              f"{result.n_failed} failed{external})")
+
+
+def _finish_grid(result, render) -> int:
+    """Print ``render(result)`` and the store summary; the exit code
+    of ``run`` and ``paper-tables``."""
+    print(render(result))
+    external = (
+        f", {result.n_external} run elsewhere" if result.n_external else ""
+    )
+    print(f"\nstore: {result.store_path} "
+          f"({result.n_run} run, {result.n_skipped} resumed, "
+          f"{result.n_failed} failed{external})")
     if result.interrupted:
         print("interrupted: claims released, store flushed — rerun to "
               "resume", file=sys.stderr)
@@ -327,16 +323,18 @@ def cmd_run(args) -> int:
             print("no circuits selected: pass --circuits, --tag, --bench "
                   "or --smoke", file=sys.stderr)
             return 2
-    return _run_grid(
-        args, circuits, fault_classes, _resolve_store(args, DEFAULT_STORE)
-    )
+    grid = expand_grid(circuits, fault_classes, engine=args.engine)
+    result = _run_stored_grid(args, grid, args.store)
+    if result is None:
+        return 1
+    return _finish_grid(result, lambda r: render_report(r.records))
 
 
 def cmd_report(args) -> int:
-    if not Path(args.store).exists():
-        print(f"no store at {args.store}", file=sys.stderr)
+    store = _open_existing_store(args.store)
+    if store is None:
         return 1
-    with open_store(args.store, args.backend, lock=False) as store:
+    with store:
         records = list(store.latest().values())
     if not records:
         print(f"no records in {args.store}", file=sys.stderr)
@@ -352,76 +350,65 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_paper_tables(args) -> int:
-    from repro.campaign.supervisor import graceful_shutdown
+def _paper_tables(result) -> str:
+    return "\n".join([
+        "Section 5 coverage study: "
+        "classic stuck-at tests vs CP fault models",
+        coverage_table(result.records),
+        "",
+        "Escapes of the classic flow "
+        "(the faults needing the paper's new tests):",
+        escape_table(result.records),
+        "",
+        SECTION5_READING,
+    ])
 
+
+def cmd_paper_tables(args) -> int:
     grid = expand_grid(
         _select_circuits(args) or list(PAPER_SUITE),
         args.fault_classes or DEFAULT_FAULT_CLASSES,
         engine=args.engine,
     )
-    try:
-        with open_store(
-            _resolve_store(args, PAPER_STORE), args.backend,
-            fsync=args.fsync,
-        ) as store, graceful_shutdown() as stop:
-            result = run_campaign(
-                grid,
-                store=store,
-                workers=args.workers or 1,
-                timeout=args.timeout,
-                resume=not args.no_resume,
-                progress=lambda line: print(line, file=sys.stderr),
-                policy=_retry_policy(args),
-                should_stop=stop.is_set,
-            )
-    except StoreLockedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if result.interrupted:
-        print("interrupted: claims released, store flushed — rerun to "
-              "resume", file=sys.stderr)
-        return 130
-    print("Section 5 coverage study: "
-          "classic stuck-at tests vs CP fault models")
-    print(coverage_table(result.records))
-    print()
-    print("Escapes of the classic flow "
-          "(the faults needing the paper's new tests):")
-    print(escape_table(result.records))
-    print()
-    print(SECTION5_READING)
-    if result.store_path is not None:
-        external = (
-            f", {result.n_external} run elsewhere" if result.n_external else ""
-        )
-        print(f"\nstore: {result.store_path} "
-              f"({result.n_run} run, {result.n_skipped} resumed, "
-              f"{result.n_failed} failed{external})")
-    return 1 if result.n_failed else 0
+    result = _run_stored_grid(args, grid, args.store)
+    if result is None:
+        return 1
+    return _finish_grid(result, _paper_tables)
 
 
 def cmd_verify_store(args) -> int:
-    """Integrity census of a campaign store (``--repair`` additionally
-    heals torn tails / quarantines corrupt rows and re-queues their
-    tasks).  Exit 0 iff the store is healthy."""
-    if not Path(args.store).exists():
-        print(f"no store at {args.store}", file=sys.stderr)
+    """Integrity census of a campaign store.  Opening the store already
+    repaired it (corrupt rows quarantined, their tasks and stale claims
+    re-queued), so this reports what remains.  Exit 0 iff healthy."""
+    store = _open_existing_store(args.store)
+    if store is None:
         return 1
-    with open_store(args.store, args.backend, lock=False) as store:
-        report = store.verify(repair=args.repair)
+    with store:
+        report = store.verify()
     for key in (
         "backend", "path", "store_schema", "n_records", "n_tasks_ok",
-        "n_corrupt", "n_quarantined", "n_stale_claims", "torn_tail",
+        "n_corrupt", "n_quarantined", "n_stale_claims",
     ):
-        if key in report:
-            print(f"{key:>15}: {report[key]}")
-    if report.get("tasks"):
+        print(f"{key:>15}: {report[key]}")
+    if report["tasks"]:
         print(f"{'tasks':>15}: {json.dumps(report['tasks'])}")
     for problem in report["problems"]:
         print(f"{'problem':>15}: {problem}")
     print(f"{'ok':>15}: {report['ok']}")
     return 0 if report["ok"] else 1
+
+
+def cmd_export(args) -> int:
+    """Every record of a store in commit order, one sorted-key JSON
+    object per line (what ``migrate-store`` reads back)."""
+    store = _open_existing_store(args.store)
+    if store is None:
+        return 1
+    with store:
+        records = store.load()
+    for record in records:
+        print(json.dumps(record, sort_keys=True))
+    return 0
 
 
 def cmd_migrate_store(args) -> int:
@@ -491,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_arguments(p_run)
     p_run.add_argument(
         "--store", default=DEFAULT_STORE, metavar="PATH",
-        help=f"JSONL checkpoint/result store (default {DEFAULT_STORE})",
+        help=f"sqlite checkpoint/result store (default {DEFAULT_STORE})",
     )
     p_run.add_argument(
         "--smoke", action="store_true",
@@ -508,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--store", default=DEFAULT_STORE, metavar="PATH")
     p_report.add_argument(
-        "--backend", default="auto", choices=("auto", *sorted(BACKENDS)),
-    )
-    p_report.add_argument(
         "--table", default="all",
         choices=("all", "coverage", "escapes", "tasks"),
     )
@@ -518,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_campaign = sub.add_parser(
         "campaign",
-        help="store maintenance: integrity checks and backend migration",
+        help="store maintenance: integrity checks, export and migration",
     )
     campaign_sub = p_campaign.add_subparsers(
         dest="campaign_command", required=True
@@ -536,25 +520,27 @@ def build_parser() -> argparse.ArgumentParser:
     pc_list.set_defaults(func=cmd_list)
     pc_verify = campaign_sub.add_parser(
         "verify-store",
-        help="checksum/claim/quarantine census of a store "
-             "(exit 0 iff healthy)",
+        help="checksum/claim/quarantine census of a store (exit 0 iff "
+             "healthy); opening the store repairs it first, so this "
+             "reports what remains",
     )
     pc_verify.add_argument("--store", default=DEFAULT_STORE, metavar="PATH")
-    pc_verify.add_argument(
-        "--backend", default="auto", choices=("auto", *sorted(BACKENDS)),
-    )
-    pc_verify.add_argument(
-        "--repair", action="store_true",
-        help="also heal torn tails / quarantine corrupt rows and "
-             "re-queue their tasks",
-    )
     pc_verify.set_defaults(func=cmd_verify_store)
+    pc_export = campaign_sub.add_parser(
+        "export",
+        help="print every record of a store as one sorted-key JSON line "
+             "(readable artifact; migrate-store reads it back)",
+    )
+    pc_export.add_argument("--store", default=DEFAULT_STORE, metavar="PATH")
+    pc_export.set_defaults(func=cmd_export)
     pc_migrate = campaign_sub.add_parser(
         "migrate-store",
         help="one-way JSONL -> sqlite migration (source untouched)",
     )
     pc_migrate.add_argument(
-        "--store", required=True, metavar="SRC", help="JSONL source store"
+        "--store", required=True, metavar="SRC",
+        help="JSONL source: an older checkout's store or "
+             "'repro campaign export' output",
     )
     pc_migrate.add_argument(
         "--to", required=True, metavar="DST",
@@ -573,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_arguments(p_paper)
     p_paper.add_argument(
         "--store", default=PAPER_STORE, metavar="PATH",
-        help=f"JSONL store (default {PAPER_STORE})",
+        help=f"sqlite store (default {PAPER_STORE})",
     )
     p_paper.set_defaults(func=cmd_paper_tables)
 

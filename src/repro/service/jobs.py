@@ -213,7 +213,7 @@ def _scan_records(store_path: Path) -> list[dict]:
     """All records of the shared sqlite store in commit order, through
     a short-lived read-only connection.
 
-    Status/results polling must not mutate the store (the backends'
+    Status/results polling must not mutate the store (the backend's
     ``open`` runs repair + stale-claim reclamation), and the polling
     thread is never the campaign thread, so this bypasses the backend
     entirely.  A missing store (no job ran yet) is just empty.
@@ -517,7 +517,6 @@ class JobManager:
             result = run_campaign(
                 job.spec.expand(),
                 store=self.store_path,
-                backend="sqlite",
                 workers=job.spec.workers,
                 timeout=job.spec.timeout,
                 resume=True,

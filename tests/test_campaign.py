@@ -1,21 +1,20 @@
 """Tests for the campaign subsystem (registry, runner, store, tables, CLI).
 
-The three ISSUE-mandated behaviours are covered explicitly:
+Three behaviours are covered explicitly:
 
 * bench-format round-trip through the registry,
-* resume-from-checkpoint: a store truncated mid-record (the kill
-  signature) reruns only the missing tasks and converges to the same
+* resume-from-checkpoint: a store holding part of the grid (a killed
+  campaign) reruns only the missing tasks and converges to the same
   final store as an uninterrupted run,
 * report-table rendering from a canned store.
 """
 
-import json
-import os
 import signal
 import time
 
 import pytest
 
+from repro.campaign.backends import SqliteBackend
 from repro.campaign.registry import Registry, get_registry, size_class
 from repro.campaign.runner import (
     TaskSpec,
@@ -23,12 +22,7 @@ from repro.campaign.runner import (
     expand_grid,
     run_campaign,
 )
-from repro.campaign.store import (
-    ResultStore,
-    StoreLockedError,
-    stores_equal,
-    strip_volatile,
-)
+from repro.campaign.store import read_jsonl, stores_equal, strip_volatile
 from repro.campaign.tables import (
     coverage_table,
     escape_table,
@@ -41,6 +35,26 @@ from repro.logic.bench_format import write_bench
 
 GRID_CIRCUITS = ("c17", "tmr_voter")
 GRID_CLASSES = ("stuck_at", "polarity")
+
+
+def _stored(path):
+    """Every record of the sqlite store at ``path``, in commit order."""
+    with SqliteBackend(path).open() as store:
+        return store.load()
+
+
+def _latest(path):
+    """The latest record per task of the sqlite store at ``path``."""
+    with SqliteBackend(path).open() as store:
+        return list(store.latest().values())
+
+
+def _commit(path, records):
+    """Commit copies of ``records`` to the store at ``path``, as a
+    campaign killed after finishing them leaves it."""
+    with SqliteBackend(path).open() as store:
+        for record in records:
+            store.append(dict(record))
 
 
 @pytest.fixture(scope="module")
@@ -133,22 +147,16 @@ class TestRunnerResume:
         self, tmp_path, reference_records
     ):
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
-        store_path = tmp_path / "campaign.jsonl"
+        store_path = tmp_path / "campaign.sqlite"
 
-        # Simulate a kill after two finished tasks, mid-write of the
-        # third: two intact records plus a torn trailing line.
-        lines = [
-            json.dumps(record, sort_keys=True)
-            for record in reference_records
-        ]
-        store_path.write_text(
-            lines[0] + "\n" + lines[1] + "\n" + lines[2][: len(lines[2]) // 2]
-        )
+        # Simulate a kill after two finished tasks: two committed
+        # records, the rest of the grid never reached the store.
+        _commit(store_path, reference_records[:2])
 
         result = run_campaign(grid, store=store_path)
         assert result.n_skipped == 2
         assert result.n_run == 2
-        final = list(ResultStore(store_path).latest().values())
+        final = _latest(store_path)
         assert stores_equal(final, reference_records)
         # The records handed back are in grid order and complete.
         assert [r["task_id"] for r in result.records] == [
@@ -157,18 +165,19 @@ class TestRunnerResume:
 
     def test_resume_disabled_recomputes_everything(self, tmp_path):
         grid = expand_grid(["c17"], ["stuck_at"])
-        store_path = tmp_path / "campaign.jsonl"
+        store_path = tmp_path / "campaign.sqlite"
         run_campaign(grid, store=store_path)
         result = run_campaign(grid, store=store_path, resume=False)
         assert result.n_run == 1
-        assert len(ResultStore(store_path).load()) == 2  # appended rerun
-        assert len(ResultStore(store_path).latest()) == 1
+        assert len(_stored(store_path)) == 2  # appended rerun
+        assert len(_latest(store_path)) == 1
 
     def test_mid_file_corruption_raises(self, tmp_path):
+        # The JSONL migration reader refuses an edited file.
         store_path = tmp_path / "campaign.jsonl"
         store_path.write_text('{"task_id": "a"}\nnot json\n{"task_id": "b"}\n')
         with pytest.raises(ValueError, match="corrupt record"):
-            ResultStore(store_path).load()
+            read_jsonl(store_path)
 
     def test_terminated_corrupt_final_line_raises(self, tmp_path):
         # A newline-terminated corrupt line is an edit, not a kill —
@@ -176,7 +185,7 @@ class TestRunnerResume:
         store_path = tmp_path / "campaign.jsonl"
         store_path.write_text('{"task_id": "a"}\nnot json\n')
         with pytest.raises(ValueError, match="corrupt record"):
-            ResultStore(store_path).load()
+            read_jsonl(store_path)
 
 
 class TestRunnerDeterminism:
@@ -185,10 +194,10 @@ class TestRunnerDeterminism:
     ):
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
         parallel = run_campaign(
-            grid, store=tmp_path / "w2.jsonl", workers=2
+            grid, store=tmp_path / "w2.sqlite", workers=2
         )
         assert stores_equal(parallel.records, reference_records)
-        stored = ResultStore(tmp_path / "w2.jsonl").load()
+        stored = _stored(tmp_path / "w2.sqlite")
         assert stores_equal(stored, reference_records)
 
     def test_strip_volatile_orders_and_drops_runtime(self):
@@ -205,8 +214,8 @@ class TestMultiwordResume:
     """Kill/restart determinism for multi-word campaign cells.
 
     The ``fault_sim`` task routes through the 2-D numpy engine on the
-    ISCAS-class corpus; resume after a torn-tail kill and any worker
-    count must still reproduce a bit-identical JSONL store, exactly as
+    ISCAS-class corpus; resume after a kill and any worker count must
+    still reproduce a bit-identical store, exactly as
     the single-word cells promise.
     """
 
@@ -225,23 +234,22 @@ class TestMultiwordResume:
 
     def test_kill_and_resume_bit_identical(self, tmp_path, mw_reference):
         grid = expand_grid(*self.GRID, engine="auto")
-        store_path = tmp_path / "mw.jsonl"
-        lines = [json.dumps(r, sort_keys=True) for r in mw_reference]
-        # Kill signature: first record intact, second torn mid-write.
-        store_path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
+        store_path = tmp_path / "mw.sqlite"
+        # Kill signature: first record committed, second never was.
+        _commit(store_path, mw_reference[:1])
         result = run_campaign(grid, store=store_path)
         assert result.n_skipped == 1
         assert result.n_run == 1
-        final = list(ResultStore(store_path).latest().values())
+        final = _latest(store_path)
         assert stores_equal(final, mw_reference)
 
     def test_worker_count_invariant(self, tmp_path, mw_reference):
         grid = expand_grid(*self.GRID, engine="auto")
         parallel = run_campaign(
-            grid, store=tmp_path / "mw2.jsonl", workers=2
+            grid, store=tmp_path / "mw2.sqlite", workers=2
         )
         assert stores_equal(parallel.records, mw_reference)
-        stored = ResultStore(tmp_path / "mw2.jsonl").load()
+        stored = _stored(tmp_path / "mw2.sqlite")
         assert stores_equal(stored, mw_reference)
 
     def test_fault_sim_metrics_shape(self):
@@ -274,7 +282,7 @@ class TestSequentialResume:
     ``fault_sim`` on a sequential corpus circuit time-frame expands the
     netlist and simulates per-cycle input sequences; the resulting
     store must carry the same bit-identical guarantees as the
-    combinational cells — resume after a torn-tail kill and any worker
+    combinational cells — resume after a kill and any worker
     count reproduce the reference records exactly.
     """
 
@@ -295,23 +303,22 @@ class TestSequentialResume:
 
     def test_kill_and_resume_bit_identical(self, tmp_path, seq_reference):
         grid = expand_grid(*self.GRID, engine="auto")
-        store_path = tmp_path / "seq.jsonl"
-        lines = [json.dumps(r, sort_keys=True) for r in seq_reference]
-        # Kill signature: first record intact, second torn mid-write.
-        store_path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
+        store_path = tmp_path / "seq.sqlite"
+        # Kill signature: first record committed, second never was.
+        _commit(store_path, seq_reference[:1])
         result = run_campaign(grid, store=store_path)
         assert result.n_skipped == 1
         assert result.n_run == 1
-        final = list(ResultStore(store_path).latest().values())
+        final = _latest(store_path)
         assert stores_equal(final, seq_reference)
 
     def test_worker_count_invariant(self, tmp_path, seq_reference):
         grid = expand_grid(*self.GRID, engine="auto")
         parallel = run_campaign(
-            grid, store=tmp_path / "seq2.jsonl", workers=2
+            grid, store=tmp_path / "seq2.sqlite", workers=2
         )
         assert stores_equal(parallel.records, seq_reference)
-        stored = ResultStore(tmp_path / "seq2.jsonl").load()
+        stored = _stored(tmp_path / "seq2.sqlite")
         assert stores_equal(stored, seq_reference)
 
     def test_s27_fault_sim_full_stuck_at_coverage(self):
@@ -365,8 +372,8 @@ class TestRunnerFailureModes:
             del TASK_RUNNERS["sleepy"]
 
     def test_failed_tasks_are_retried_on_resume(self, tmp_path):
-        store_path = tmp_path / "campaign.jsonl"
-        ResultStore(store_path).append(
+        store_path = tmp_path / "campaign.sqlite"
+        _commit(store_path, [
             {
                 "task_id": "c17/stuck_at/compiled",
                 "circuit": "c17",
@@ -375,7 +382,7 @@ class TestRunnerFailureModes:
                 "status": "timeout",
                 "runtime_s": 0.0,
             }
-        )
+        ])
         result = run_campaign(
             expand_grid(["c17"], ["stuck_at"]), store=store_path
         )
@@ -415,10 +422,8 @@ CANNED_RECORDS = [
 
 class TestTables:
     def test_coverage_table_from_canned_store(self, tmp_path):
-        store = ResultStore(tmp_path / "canned.jsonl")
-        for record in CANNED_RECORDS:
-            store.append(record)
-        table = coverage_table(store.load())
+        _commit(tmp_path / "canned.sqlite", CANNED_RECORDS)
+        table = coverage_table(_stored(tmp_path / "canned.sqlite"))
         row = next(
             line for line in table.splitlines() if line.startswith("rca4")
         )
@@ -474,7 +479,7 @@ class TestCli:
     def test_run_report_round_trip(self, tmp_path, capsys):
         from repro.campaign.cli import main
 
-        store = str(tmp_path / "cli.jsonl")
+        store = str(tmp_path / "cli.sqlite")
         assert main(
             ["run", "--circuits", "c17", "--fault-classes", "stuck_at",
              "--store", store, "--workers", "1"]
@@ -486,12 +491,12 @@ class TestCli:
     def test_run_requires_circuit_selection(self, tmp_path):
         from repro.campaign.cli import main
 
-        assert main(["run", "--store", str(tmp_path / "x.jsonl")]) == 2
+        assert main(["run", "--store", str(tmp_path / "x.sqlite")]) == 2
 
     def test_report_on_missing_store(self, tmp_path):
         from repro.campaign.cli import main
 
-        assert main(["report", "--store", str(tmp_path / "none.jsonl")]) == 1
+        assert main(["report", "--store", str(tmp_path / "none.sqlite")]) == 1
 
 
 class TestDocstringExamples:
@@ -554,79 +559,46 @@ class TestReviewRegressions:
         cli.main(
             ["run", "--smoke", "--workers", "1",
              "--fault-classes", "stuck_at",
-             "--store", str(tmp_path / "s.jsonl")]
+             "--store", str(tmp_path / "s.sqlite")]
         )
         assert seen["workers"] == 1
 
 
 class TestStoreHardening:
     def test_append_reuses_one_persistent_handle(self, tmp_path):
-        """Regression: ``append`` used to reopen (and re-heal) the file
-        per record; the store must hold one handle for its lifetime."""
-        store = ResultStore(tmp_path / "s.jsonl")
+        """The store holds one connection for its lifetime instead of
+        reconnecting per record."""
+        store = SqliteBackend(tmp_path / "s.sqlite").open()
         store.append({"task_id": "a", "status": "ok"})
-        handle = store._handle
+        handle = store._conn
         store.append({"task_id": "b", "status": "ok"})
-        assert store._handle is handle
-        assert len(store.load()) == 2   # flushed per record, readable live
+        assert store._conn is handle
+        assert len(store.load()) == 2   # committed per record, readable live
         store.close()
-
-    def test_heal_then_append_stays_one_record_per_line(self, tmp_path):
-        """Appending after torn-tail healing must not glue the new
-        record onto the truncated remnant."""
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"task_id": "a", "status": "ok"}\n{"task_id": "b')
-        with ResultStore(path) as store:
-            store.append({"task_id": "c", "status": "ok"})
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["task_id"] for line in lines] == ["a", "c"]
-        assert path.read_text().endswith("\n")
 
     def test_handle_reopens_after_close(self, tmp_path):
-        store = ResultStore(tmp_path / "s.jsonl")
+        store = SqliteBackend(tmp_path / "s.sqlite").open()
         store.append({"task_id": "a", "status": "ok"})
         store.close()
         store.append({"task_id": "b", "status": "ok"})
         store.close()
-        assert len(store.load()) == 2
+        assert len(_stored(tmp_path / "s.sqlite")) == 2
 
     def test_fsync_append_round_trip(self, tmp_path):
-        with ResultStore(tmp_path / "s.jsonl", fsync=True) as store:
+        path = tmp_path / "s.sqlite"
+        with SqliteBackend(path, fsync=True).open() as store:
+            assert store._conn.execute(
+                "PRAGMA synchronous"
+            ).fetchone()[0] == 2    # FULL
             store.append({"task_id": "a", "status": "ok"})
             store.append({"task_id": "b", "status": "ok"})
-        assert len(ResultStore(tmp_path / "s.jsonl").load()) == 2
-
-    def test_second_writer_fails_fast(self, tmp_path):
-        pytest.importorskip("fcntl")
-        first = ResultStore(tmp_path / "s.jsonl")
-        first.append({"task_id": "a", "status": "ok"})
-        second = ResultStore(tmp_path / "s.jsonl")
-        with pytest.raises(StoreLockedError, match="locked by PID") as info:
-            second.append({"task_id": "b", "status": "ok"})
-        # Satellite: the error names the holding PID and a retry hint.
-        assert info.value.pid == os.getpid()
-        assert "retry" in str(info.value)
-        # Readers are never blocked by the writer's lock.
-        assert len(second.load()) == 1
-        # Closing the first writer releases the lock.
-        first.close()
-        second.append({"task_id": "b", "status": "ok"})
-        second.close()
-        assert len(second.load()) == 2
-
-    def test_lock_opt_out(self, tmp_path):
-        first = ResultStore(tmp_path / "s.jsonl")
-        first.append({"task_id": "a", "status": "ok"})
-        unlocked = ResultStore(tmp_path / "s.jsonl", lock=False)
-        unlocked.append({"task_id": "b", "status": "ok"})
-        first.close()
-        unlocked.close()
+        assert len(_stored(path)) == 2
 
     def test_corrupt_line_error_names_the_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"task_id": "a"}\nnot json\n{"task_id": "b"}\n')
         with pytest.raises(ValueError, match="line 2"):
-            ResultStore(path).load()
+            read_jsonl(path)
 
     def test_strip_volatile_drops_retry_provenance(self):
         records = [
@@ -655,7 +627,7 @@ class TestCliExitCodes:
         try:
             code = main(
                 ["run", "--circuits", "c17", "--fault-classes", "boom",
-                 "--store", str(tmp_path / "f.jsonl")]
+                 "--store", str(tmp_path / "f.sqlite")]
             )
         finally:
             del TASK_RUNNERS["boom"]
@@ -677,7 +649,7 @@ class TestCliExitCodes:
             code = main(
                 ["run", "--circuits", "c17", "--fault-classes", "sleepy",
                  "--timeout", "0.2",
-                 "--store", str(tmp_path / "t.jsonl")]
+                 "--store", str(tmp_path / "t.sqlite")]
             )
         finally:
             del TASK_RUNNERS["sleepy"]
@@ -698,7 +670,7 @@ class TestCliExitCodes:
 
         TASK_RUNNERS["flaky"] = flaky
         try:
-            store = str(tmp_path / "r.jsonl")
+            store = str(tmp_path / "r.sqlite")
             args = ["run", "--circuits", "c17", "--fault-classes", "flaky",
                     "--store", store]
             assert main(args) == 1

@@ -1,13 +1,13 @@
-"""Pluggable store backends: protocol, sqlite semantics, migration,
-multi-runner coordination and cross-backend determinism.
+"""The sqlite campaign store: semantics, foreign-file refusal,
+migration and export, multi-runner coordination and determinism.
 
 The contract under test mirrors the engine differential harness: the
 *storage* layer must never change what a campaign computes.  A grid
-run against the sqlite backend — on any worker count, split across
-independent runner processes, interrupted by kills — must converge to
-the same records (after :func:`strip_volatile`) as the single-worker
-JSONL run, and the multi-runner split must produce exactly one result
-row per task: none lost, none duplicated.
+run against the store — on any worker count, split across independent
+runner processes, interrupted by kills — must converge to the same
+records (after :func:`strip_volatile`) as an undisturbed single-worker
+run, and the multi-runner split must produce exactly one result row
+per task: none lost, none duplicated.
 """
 
 import json
@@ -15,23 +15,16 @@ import multiprocessing
 import os
 import sqlite3
 import threading
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.campaign.backends import (
-    BACKENDS,
-    JsonlBackend,
-    ResultBackend,
-    SqliteBackend,
-    detect_backend,
-    migrate_jsonl_to_sqlite,
-    open_store,
-)
-from repro.campaign.chaos import ChaosPolicy, StorageChaos, tear_tail
+from jsonl_helpers import tear_tail, write_jsonl
+from repro.campaign.backends import SqliteBackend, migrate_jsonl_to_sqlite
+from repro.campaign.chaos import ChaosPolicy, StorageChaos
+from repro.campaign.cli import main as cli_main
 from repro.campaign.runner import RetryPolicy, expand_grid, run_campaign
-from repro.campaign.store import ResultStore, stores_equal, strip_volatile
+from repro.campaign.store import read_jsonl, stores_equal, strip_volatile
 
 needs_posix = pytest.mark.skipif(
     os.name != "posix", reason="needs POSIX kill/fork semantics"
@@ -56,36 +49,63 @@ def _ok_record(task_id, n=1):
 
 
 # ---------------------------------------------------------------------------
-# Detection + protocol
+# Legacy and foreign files
 # ---------------------------------------------------------------------------
 
 class TestDetection:
+    """A store file is recognised by its sqlite header, not its name.
+    A file without one — an older checkout's JSONL store, say — is
+    refused with a pointer to ``migrate-store`` and left byte-identical."""
+
+    def _legacy(self, tmp_path, name="old.sqlite"):
+        path = write_jsonl(tmp_path / name, [_ok_record("a")])
+        return path, path.read_bytes()
+
+    def test_open_refuses_jsonl_and_leaves_it_unchanged(self, tmp_path):
+        path, before = self._legacy(tmp_path)
+        with pytest.raises(ValueError, match="repro campaign migrate-store"):
+            SqliteBackend(path).open()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
     def test_existing_files_classified_by_content(self, tmp_path):
-        jsonl = tmp_path / "weird.sqlite"   # misleading suffix
-        jsonl.write_text('{"task_id": "a"}\n')
-        assert detect_backend(jsonl) == "jsonl"
+        jsonl = write_jsonl(tmp_path / "weird.sqlite", [_ok_record("a")])
+        with pytest.raises(ValueError, match="not a sqlite campaign store"):
+            SqliteBackend(jsonl).open()     # misleading suffix
 
         db = tmp_path / "weird.jsonl"       # misleading suffix
         sqlite3.connect(str(db)).executescript(
             "CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (1);"
         )
-        assert detect_backend(db) == "sqlite"
+        with SqliteBackend(db).open() as store:
+            store.append(_ok_record("a"))
+            assert [r["task_id"] for r in store.load()] == ["a"]
 
-    def test_missing_files_classified_by_suffix(self, tmp_path):
-        assert detect_backend(tmp_path / "a.jsonl") == "jsonl"
-        assert detect_backend(tmp_path / "a.txt") == "jsonl"
-        for suffix in (".sqlite", ".sqlite3", ".db", ".sq3"):
-            assert detect_backend(tmp_path / f"a{suffix}") == "sqlite"
+        empty = tmp_path / "empty.sqlite"   # empty file: a fresh store
+        empty.write_bytes(b"")
+        SqliteBackend(empty).open().close()
 
-    def test_open_store_rejects_unknown_backend(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown backend"):
-            open_store(tmp_path / "a.jsonl", "etcd")
+    @pytest.mark.parametrize("argv", [
+        ["run", "--circuits", "c17", "--fault-classes", "stuck_at"],
+        ["paper-tables", "--circuits", "c17",
+         "--fault-classes", "stuck_at"],
+        ["report"],
+        ["campaign", "verify-store"],
+        ["campaign", "export"],
+    ])
+    def test_cli_verbs_exit_1_naming_migrate_store(
+        self, tmp_path, capsys, argv
+    ):
+        path, before = self._legacy(tmp_path)
+        assert cli_main([*argv, "--store", str(path)]) == 1
+        assert "repro campaign migrate-store" in capsys.readouterr().err
+        assert path.read_bytes() == before
 
-    def test_both_backends_satisfy_the_protocol(self, tmp_path):
-        for name, cls in BACKENDS.items():
-            backend = cls(tmp_path / f"p.{name}")
-            assert isinstance(backend, ResultBackend)
-            backend.close() if name == "sqlite" else None
+    def test_run_campaign_accepts_only_sqlite(self, tmp_path):
+        grid = expand_grid(["c17"], ["stuck_at"])
+        with pytest.raises(ValueError, match="sqlite is the only one"):
+            run_campaign(grid, store=tmp_path / "a.jsonl", backend="jsonl")
+        assert not (tmp_path / "a.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +121,7 @@ class TestSqliteBackend:
             assert [r["metrics"]["n"] for r in store.load()] == [1, 2, 3]
             assert store.latest()["a"]["metrics"]["n"] == 3
         # Persists across close/open.
-        with open_store(tmp_path / "s.sqlite") as store:
+        with SqliteBackend(tmp_path / "s.sqlite").open() as store:
             assert len(store.load()) == 3
 
     def test_provenance_stamped_and_volatile(self, tmp_path):
@@ -275,33 +295,34 @@ class TestSqliteCorruptionRecovery:
     def test_campaign_recomputes_quarantined_cell(self, tmp_path):
         path = tmp_path / "s.sqlite"
         grid = expand_grid(["c17"], ["stuck_at", "polarity"])
-        reference = run_campaign(grid, store=path, backend="sqlite")
+        reference = run_campaign(grid, store=path)
         assert reference.n_failed == 0
         self._tamper(path, "c17/stuck_at/compiled")
         rerun = run_campaign(grid, store=path)
         assert rerun.n_run == 1                    # exactly the torn cell
         assert rerun.n_skipped == 1
         assert stores_equal(rerun.records, reference.records)
-        with open_store(path) as store:
+        with SqliteBackend(path).open() as store:
             assert store.verify()["ok"] is True
 
 
 # ---------------------------------------------------------------------------
-# Migration
+# Migration and export
 # ---------------------------------------------------------------------------
 
 class TestMigration:
     def test_jsonl_to_sqlite_preserves_records_and_resume(self, tmp_path):
         src, dst = tmp_path / "a.jsonl", tmp_path / "a.sqlite"
         grid = expand_grid(["c17"], ["stuck_at", "polarity"])
-        jsonl_run = run_campaign(grid, store=src)
-        assert jsonl_run.n_failed == 0
+        reference = run_campaign(grid)
+        assert reference.n_failed == 0
+        write_jsonl(src, reference.records)   # an older checkout's store
 
         count = migrate_jsonl_to_sqlite(src, dst)
         assert count == 2
         assert src.exists()                        # source untouched
-        with open_store(dst) as store:
-            assert stores_equal(store.load(), jsonl_run.records)
+        with SqliteBackend(dst).open() as store:
+            assert stores_equal(store.load(), reference.records)
             assert store.verify()["ok"] is True
             assert store.load()[0]["backend"] == "sqlite"  # re-stamped
 
@@ -310,8 +331,7 @@ class TestMigration:
         assert resumed.n_run == 0 and resumed.n_skipped == 2
 
     def test_migration_refuses_existing_destination(self, tmp_path):
-        src = tmp_path / "a.jsonl"
-        ResultStore(src).append(_ok_record("a"))
+        src = write_jsonl(tmp_path / "a.jsonl", [_ok_record("a")])
         dst = tmp_path / "exists.sqlite"
         dst.write_bytes(b"precious")
         with pytest.raises(FileExistsError, match="refusing"):
@@ -320,76 +340,54 @@ class TestMigration:
 
     def test_migration_tolerates_torn_source_tail(self, tmp_path):
         src, dst = tmp_path / "a.jsonl", tmp_path / "a.sqlite"
-        store = ResultStore(src)
-        store.append(_ok_record("a"))
-        store.append(_ok_record("b"))
-        store.close()
+        write_jsonl(src, [_ok_record("a"), _ok_record("b")])
         tear_tail(src)
         assert migrate_jsonl_to_sqlite(src, dst) == 1   # torn row dropped
-        with open_store(dst) as migrated:
+        with SqliteBackend(dst).open() as migrated:
             assert [r["task_id"] for r in migrated.load()] == ["a"]
 
+    def test_export_then_migrate_round_trips(self, tmp_path, capsys):
+        store = tmp_path / "a.sqlite"
+        grid = expand_grid(["c17", "tmr_voter"], ["stuck_at", "polarity"])
+        run_campaign(grid, store=store)
+        run_campaign(grid[:1], store=store, resume=False)  # keep history
+        capsys.readouterr()
 
-# ---------------------------------------------------------------------------
-# JSONL backend via the protocol
-# ---------------------------------------------------------------------------
+        assert cli_main(["campaign", "export", "--store", str(store)]) == 0
+        exported = tmp_path / "a.jsonl"
+        exported.write_text(capsys.readouterr().out)
+        lines = exported.read_text().splitlines()
+        assert len(lines) == len(grid) + 1     # full history, one per line
+        assert all(list(r) == sorted(r) for r in map(json.loads, lines))
 
-class TestJsonlBackend:
-    def test_wraps_store_and_stamps_provenance(self, tmp_path):
-        with JsonlBackend(tmp_path / "a.jsonl") as backend:
-            assert backend.claim("anything")       # vacuous claiming
-            backend.append(_ok_record("a"))
-        record = ResultStore(tmp_path / "a.jsonl").load()[0]
-        assert record["backend"] == "jsonl"
-        assert record["store_schema"] == JsonlBackend.STORE_SCHEMA
+        copy = tmp_path / "b.sqlite"
+        assert cli_main([
+            "campaign", "migrate-store", "--store", str(exported),
+            "--to", str(copy),
+        ]) == 0
+        with SqliteBackend(store).open() as a, SqliteBackend(copy).open() as b:
+            original, migrated = a.load(), b.load()
+        assert [r["task_id"] for r in migrated] == [
+            r["task_id"] for r in original
+        ]
+        assert stores_equal(migrated, original)
+        assert stores_equal(read_jsonl(exported), original)
 
-    def test_verify_reports_torn_tail_and_repairs(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        store = ResultStore(path)
-        store.append(_ok_record("a"))
-        store.append(_ok_record("b"))
-        store.close()
-        tear_tail(path)
-        backend = JsonlBackend(path, lock=False)
-        report = backend.verify()
-        assert report["torn_tail"] is True
-        assert report["ok"] is True        # recoverable kill signature
-        assert report["n_records"] == 1    # torn row dropped by the loader
-        repaired = backend.verify(repair=True)
-        assert repaired["torn_tail"] is False
-        assert path.read_bytes().endswith(b"\n")
-
-    def test_verify_flags_mid_file_corruption(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        path.write_text('{"task_id": "a"}\nnot json\n{"task_id": "b"}\n')
-        report = JsonlBackend(path, lock=False).verify()
-        assert report["ok"] is False
-        assert report["n_corrupt"] == 1
-
-    def test_enospc_append_retries_and_heals(self, tmp_path):
-        chaos = StorageChaos({"append": {"a": ("enospc", "torn", "ok")}})
-        with JsonlBackend(tmp_path / "a.jsonl", chaos=chaos) as backend:
-            backend.append(_ok_record("a"))     # 2 failures, then lands
-            backend.append(_ok_record("b"))
-        records = ResultStore(tmp_path / "a.jsonl").load()
-        assert [r["task_id"] for r in records] == ["a", "b"]
-        # The torn attempt's half line was healed away, not glued to
-        # the successful rewrite.
-        for line in (tmp_path / "a.jsonl").read_text().splitlines():
-            json.loads(line)
+    def test_export_of_missing_store_fails(self, tmp_path, capsys):
+        missing = tmp_path / "none.sqlite"
+        assert cli_main(["campaign", "export", "--store", str(missing)]) == 1
+        assert "no store" in capsys.readouterr().err
+        assert not missing.exists()
 
 
 class TestUtf8Tear:
-    """Satellite: a tail torn *inside* a multi-byte UTF-8 sequence."""
+    """A JSONL tail torn *inside* a multi-byte UTF-8 sequence, as the
+    migration reader meets it."""
 
     def _non_ascii_store(self, path):
-        store = ResultStore(path)
-        store.append(_ok_record("a"))
         record = _ok_record("b")
         record["error"] = "μ-fault: polarity gate Θ misread"  # multi-byte
-        store.append(record)
-        store.close()
-        return store
+        return write_jsonl(path, [_ok_record("a"), record])
 
     def test_tear_inside_utf8_sequence(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -403,17 +401,15 @@ class TestUtf8Tear:
         path = tmp_path / "a.jsonl"
         self._non_ascii_store(path)
         tear_tail(path, inside_utf8=True)
-        records = ResultStore(path, lock=False).load()
+        records = read_jsonl(path)
         assert [r["task_id"] for r in records] == ["a"]   # torn row dropped
-        store = ResultStore(path)
-        store.append(_ok_record("c"))
-        store.close()
-        lines = path.read_bytes().split(b"\n")
-        assert [json.loads(l)["task_id"] for l in lines if l] == ["a", "c"]
+        dst = tmp_path / "a.sqlite"
+        assert migrate_jsonl_to_sqlite(path, dst) == 1
+        with SqliteBackend(dst).open() as store:
+            assert [r["task_id"] for r in store.load()] == ["a"]
 
     def test_tear_inside_utf8_requires_multibyte_content(self, tmp_path):
-        path = tmp_path / "ascii.jsonl"
-        ResultStore(path).append(_ok_record("a"))
+        path = write_jsonl(tmp_path / "ascii.jsonl", [_ok_record("a")])
         with pytest.raises(ValueError, match="pure ASCII"):
             tear_tail(path, inside_utf8=True)
 
@@ -427,7 +423,7 @@ def _runner_process(store_path, start, done_counts, index):
     start.wait()
     grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
     result = run_campaign(
-        grid, store=Path(store_path), backend="sqlite", policy=FAST,
+        grid, store=Path(store_path), policy=FAST,
     )
     done_counts[index] = result.n_run
 
@@ -436,9 +432,9 @@ def _runner_process(store_path, start, done_counts, index):
 @needs_fork
 class TestMultiRunner:
     def test_two_processes_share_one_store_no_dup_no_loss(self, tmp_path):
-        """ISSUE acceptance: two concurrent runner processes complete a
+        """Acceptance: two concurrent runner processes complete a
         full smoke grid on one sqlite store — zero duplicated rows,
-        zero lost rows, and the result equals a 1-worker JSONL run."""
+        zero lost rows, and the result equals a 1-worker run."""
         context = multiprocessing.get_context("fork")
         store_path = tmp_path / "shared.sqlite"
         start = context.Event()
@@ -458,7 +454,7 @@ class TestMultiRunner:
             assert proc.exitcode == 0
 
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
-        with open_store(store_path) as store:
+        with SqliteBackend(store_path).open() as store:
             records = store.load()
             report = store.verify()
         # Zero lost, zero duplicated: exactly one row per grid cell.
@@ -473,36 +469,36 @@ class TestMultiRunner:
         assert counts[0] + counts[1] == len(grid)
 
         # And the shared-store result equals an undisturbed 1-worker
-        # JSONL campaign.
-        oracle = run_campaign(grid, store=tmp_path / "oracle.jsonl")
+        # campaign on a store of its own.
+        oracle = run_campaign(grid, store=tmp_path / "oracle.sqlite")
         assert stores_equal(records, oracle.records)
 
 
 # ---------------------------------------------------------------------------
-# Satellite: sequential cells, both backends, kill/resume + 1-vs-N
+# Sequential cells: kill/resume + 1-vs-N
 # ---------------------------------------------------------------------------
 
 SEQ_GRID = (("s27", "sqx344"), ("fault_sim",))
 SEQ_KILL_TASK = "sqx344/fault_sim/auto"
 
 
-def _seq_killed_runner(store_path, backend):
-    """Child: run the sequential grid but die mid-append (mid-line for
-    JSONL, mid-transaction for sqlite) on the second cell."""
+def _seq_killed_runner(store_path):
+    """Child: run the sequential grid but die mid-append-transaction on
+    the second cell."""
     chaos = ChaosPolicy(
         {}, storage=StorageChaos({"append": {SEQ_KILL_TASK: ("kill",)}})
     )
     run_campaign(
         expand_grid(*SEQ_GRID, engine="auto"),
-        store=Path(store_path), backend=backend, policy=FAST, chaos=chaos,
+        store=Path(store_path), policy=FAST, chaos=chaos,
     )
 
 
 @needs_posix
 @needs_fork
 class TestSequentialBackendDeterminism:
-    """Satellite: 1-vs-N determinism for the sequential (s27/sqx344)
-    cells on BOTH backends, including kill/resume mid-grid."""
+    """1-vs-N determinism for the sequential (s27/sqx344) cells,
+    including kill/resume mid-grid."""
 
     @pytest.fixture(scope="class")
     def seq_oracle(self):
@@ -510,37 +506,36 @@ class TestSequentialBackendDeterminism:
         assert all(r["status"] == "ok" for r in result.records)
         return result.records
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_kill_mid_grid_then_parallel_resume_converges(
-        self, tmp_path, seq_oracle, backend
+        self, tmp_path, seq_oracle
     ):
-        store_path = tmp_path / f"seq.{backend}"
+        store_path = tmp_path / "seq.sqlite"
         context = multiprocessing.get_context("fork")
         proc = context.Process(
-            target=_seq_killed_runner, args=(str(store_path), backend)
+            target=_seq_killed_runner, args=(str(store_path),)
         )
         proc.start()
         proc.join(300)
         # The runner died by SIGKILL mid-append, as scripted.
         assert proc.exitcode is not None and proc.exitcode < 0
 
-        # The interrupted store holds only complete rows (recovery may
-        # run lazily on the next open, so open through the backend).
-        with open_store(store_path, backend, lock=False) as store:
+        # The interrupted store holds only complete rows (WAL recovery
+        # runs on the next open).
+        with SqliteBackend(store_path).open() as store:
             survivors = store.latest()
         assert SEQ_KILL_TASK not in survivors
         assert all(r["status"] == "ok" for r in survivors.values())
 
         # Resume with 2 workers: recomputes exactly the killed cell and
-        # converges to the 1-worker in-memory oracle on both backends.
+        # converges to the 1-worker in-memory oracle.
         result = run_campaign(
             expand_grid(*SEQ_GRID, engine="auto"),
-            store=store_path, backend=backend, workers=2, policy=FAST,
+            store=store_path, workers=2, policy=FAST,
         )
         assert result.n_run == 1
         assert result.n_skipped == len(survivors)
         assert stores_equal(result.records, seq_oracle)
-        with open_store(store_path, backend, lock=False) as store:
+        with SqliteBackend(store_path).open() as store:
             assert stores_equal(list(store.latest().values()), seq_oracle)
             assert store.verify(repair=True)["ok"] is True
 
@@ -551,10 +546,10 @@ class TestSequentialBackendDeterminism:
 
 class TestStorageChaos:
     def test_scripts_consumed_per_event_and_task(self):
-        chaos = StorageChaos({"append": {"a": ("enospc", "torn")}})
+        chaos = StorageChaos({"append": {"a": ("enospc", "kill")}})
         assert chaos.append_fault("a") == "enospc"
         assert chaos.append_fault("b") == "ok"     # other tasks clean
-        assert chaos.append_fault("a") == "torn"
+        assert chaos.append_fault("a") == "kill"
         assert chaos.append_fault("a") == "ok"     # past the script
         chaos.claim_fault("a")                     # no claim script: ok
 
@@ -563,6 +558,8 @@ class TestStorageChaos:
             StorageChaos({"fsync": {"a": ("ok",)}})
         with pytest.raises(ValueError, match="unknown append fault"):
             StorageChaos({"append": {"a": ("hang",)}})
+        with pytest.raises(ValueError, match="unknown append fault"):
+            StorageChaos({"append": {"a": ("torn",)}})
         with pytest.raises(ValueError, match="unknown claim fault"):
             StorageChaos({"claim": {"a": ("enospc",)}})
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.backends import open_store
+from repro.campaign.backends import SqliteBackend
 from repro.campaign.runner import expand_grid, run_campaign
 from repro.campaign.store import stores_equal
 from repro.service.api import (
@@ -325,7 +325,7 @@ class TestJobFailureModes:
             assert 0 < status["counts"]["ok"] < SLOW_TASKS
 
             # Store left resumable: clean audit, no claims held.
-            with open_store(manager.store_path, "sqlite") as store:
+            with SqliteBackend(manager.store_path).open() as store:
                 assert store.verify()["ok"]
             assert "claimed" not in _claim_statuses(manager.store_path)
 
@@ -441,14 +441,14 @@ class TestProcessFailureModes:
             server.send_signal(signal.SIGTERM)
             assert server.wait(timeout=30.0) == 0
 
-        with open_store(store_path, "sqlite") as store:
+        with SqliteBackend(store_path).open() as store:
             disturbed = store.latest()
         tasks = expand_grid(
             SLOW_SPEC["circuits"], SLOW_SPEC["fault_classes"], "compiled"
         )
         fresh_path = tmp_path / "undisturbed.sqlite"
-        run_campaign(tasks, store=fresh_path, backend="sqlite")
-        with open_store(fresh_path, "sqlite") as store:
+        run_campaign(tasks, store=fresh_path)
+        with SqliteBackend(fresh_path).open() as store:
             undisturbed = store.latest()
         assert stores_equal(
             [disturbed[t] for t in sorted(disturbed)],
@@ -461,7 +461,7 @@ class TestProcessFailureModes:
             sys.executable, "-m", "repro", "run",
             "--circuits", *SLOW_SPEC["circuits"],
             "--fault-classes", *SLOW_SPEC["fault_classes"],
-            "--backend", "sqlite", "--store", str(store), "--workers", "1",
+            "--store", str(store), "--workers", "1",
         ]
         proc = subprocess.Popen(
             argv, env=_subprocess_env(), cwd=tmp_path,
